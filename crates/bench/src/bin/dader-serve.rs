@@ -13,10 +13,13 @@
 //! By default requests are read from stdin and answered on stdout, one
 //! JSON object per line (see `dader_bench::serve` for the protocol). With
 //! `--listen 127.0.0.1:7878` (port 0 for ephemeral) a TCP listener serves
-//! concurrent connections — a single nonblocking event loop that pools
-//! requests from *all* connections into shared inference batches, flushed
-//! at `--batch-size` or after `--flush-us` microseconds, whichever comes
-//! first. `--thread-per-conn` selects the legacy one-thread-per-connection
+//! concurrent connections — a single nonblocking event loop, blocking in
+//! `ppoll(2)` between passes, that pools requests from *all* connections
+//! into shared inference batches. The flush is work-conserving: while the
+//! scorer is idle a request is dispatched at once; while a batch is being
+//! scored, new requests are held until `--batch-size` of them fill the
+//! next batch or the oldest has waited `--flush-us` microseconds (default
+//! 1000). `--thread-per-conn` selects the legacy one-thread-per-connection
 //! core instead (per-connection batching; kept for before/after
 //! comparison). Every response carries a monotonic `rid`, the server-side
 //! `latency_us`, and — in event-loop mode — the `version` tag of the

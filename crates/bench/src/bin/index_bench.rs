@@ -194,6 +194,7 @@ fn run_serve_phase(
                 // `clients`, not the drain time of a pipelined backlog.
                 barrier.wait();
                 let mut conn = TcpStream::connect(addr).expect("connect");
+                conn.set_nodelay(true).expect("set TCP_NODELAY");
                 let mut reader = BufReader::new(conn.try_clone().expect("clone conn"));
                 let mut latencies = Vec::with_capacity(requests);
                 for i in 0..requests {

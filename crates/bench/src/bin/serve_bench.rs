@@ -149,6 +149,7 @@ fn run_phase(
                 let lines = request_lines(c, requests);
                 barrier.wait();
                 let mut conn = TcpStream::connect(addr).expect("connect");
+                conn.set_nodelay(true).expect("set TCP_NODELAY");
                 conn.write_all(lines.as_bytes()).expect("send requests");
                 conn.shutdown(std::net::Shutdown::Write).expect("shutdown write");
                 let mut samples = Vec::with_capacity(requests);
@@ -260,6 +261,7 @@ fn run_overload_phase(cfg: TcpServeConfig, clients: usize, requests: usize) -> O
                 }
                 barrier.wait();
                 let mut conn = TcpStream::connect(addr).expect("connect");
+                conn.set_nodelay(true).expect("set TCP_NODELAY");
                 conn.write_all(lines.as_bytes()).expect("send requests");
                 conn.shutdown(std::net::Shutdown::Write).expect("shutdown write");
                 let mut served = Vec::new();

@@ -2,13 +2,14 @@
 //! requests from *all* connections into shared inference batches, and the
 //! worker thread that scores them.
 //!
-//! The [`Batcher`] decides *when* to flush — on size (`batch_size`
-//! reached), on deadline (oldest request has waited `flush_us`), when a
-//! whole-table request arrives (its own heavy batch), or on drain at
-//! shutdown. It deliberately holds back while two jobs are already in
-//! flight: with the scorer busy, waiting costs nothing and lets the queue
-//! fill, so occupancy climbs under load instead of degenerating into
-//! batches of one. Every flush is counted under its trigger in
+//! The [`Batcher`] decides *when* to flush, and the policy is
+//! work-conserving: while no batch is in flight the scorer is idle, so
+//! whatever is queued goes out at once (or on size, or as a whole-table
+//! request's own heavy batch). Only while the scorer is busy does it hold
+//! requests, so the queue fills into a wider batch — with one job in
+//! flight until the batch reaches `batch_size` or its oldest request has
+//! waited `flush_us`, with two until one of them returns. Shutdown drains
+//! everything. Every flush is counted under its trigger in
 //! `serve_flush_reason_total{reason=…}`.
 //!
 //! The [`InferenceWorker`] owns the model snapshot handed to it per job
@@ -26,6 +27,7 @@ use std::time::{Duration, Instant};
 use dader_block::Blocker;
 use serde::Value;
 
+use super::poll::Waker;
 use super::registry::{SharedIndex, VersionedModel};
 use super::{
     admission, error_body, metrics, pair_body, panic_message, predict_contained, record_body,
@@ -44,6 +46,9 @@ pub(crate) enum FlushReason {
     Table,
     /// Shutdown drain: everything still queued goes out now.
     Drain,
+    /// No batch was in flight: the scorer was idle, so holding the queue
+    /// would only add latency.
+    Idle,
 }
 
 impl FlushReason {
@@ -54,6 +59,7 @@ impl FlushReason {
             FlushReason::Deadline => "deadline",
             FlushReason::Table => "table",
             FlushReason::Drain => "drain",
+            FlushReason::Idle => "idle",
         }
     }
 }
@@ -104,6 +110,10 @@ pub(crate) struct Done {
     pub(crate) is_error: bool,
 }
 
+/// Batches in flight at which the scorer counts as saturated: the queue
+/// then waits for one of them to return, whatever its age.
+const SATURATED: usize = 2;
+
 /// The shared request queue plus its flush policy.
 pub(crate) struct Batcher {
     queue: VecDeque<WorkItem>,
@@ -139,11 +149,13 @@ impl Batcher {
     }
 
     /// Should the front of the queue go out now? `jobs_in_flight` is the
-    /// count of batches already submitted and not yet returned: while two
-    /// are in flight the scorer is saturated and waiting is free, so we
-    /// hold back and let the queue fill (this is what makes occupancy
-    /// climb under concurrent load). `draining` forces everything out at
-    /// shutdown.
+    /// count of batches already submitted and not yet returned. With none,
+    /// the scorer is idle and the queue goes out at once. With one, the
+    /// batch is held until it fills or its oldest request has waited
+    /// `flush_us`. With two the scorer is saturated and waiting is free,
+    /// so the queue fills until a batch returns (this is what makes
+    /// occupancy climb under concurrent load). `draining` forces
+    /// everything out at shutdown.
     pub(crate) fn should_flush(
         &self,
         now: Instant,
@@ -156,7 +168,7 @@ impl Batcher {
         if draining {
             return Some(FlushReason::Drain);
         }
-        if jobs_in_flight >= 2 {
+        if jobs_in_flight >= SATURATED {
             return None;
         }
         if self.queue.len() >= self.batch_size {
@@ -165,6 +177,9 @@ impl Batcher {
         if self.has_table {
             return Some(FlushReason::Table);
         }
+        if jobs_in_flight == 0 {
+            return Some(FlushReason::Idle);
+        }
         let oldest = self.queue.front().expect("non-empty").timeline.arrival;
         if now.saturating_duration_since(oldest) >= self.flush_deadline {
             return Some(FlushReason::Deadline);
@@ -172,8 +187,13 @@ impl Batcher {
         None
     }
 
-    /// When the next deadline flush would fire, for idle-sleep bounding.
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+    /// When a deadline flush would fire, for bounding the poller's wait:
+    /// `None` when the queue is empty or two batches are in flight (then
+    /// only a returning batch, which wakes the poller, can release it).
+    pub(crate) fn next_deadline(&self, jobs_in_flight: usize) -> Option<Instant> {
+        if jobs_in_flight >= SATURATED {
+            return None;
+        }
         self.queue
             .front()
             .map(|w| w.timeline.arrival + self.flush_deadline)
@@ -207,7 +227,8 @@ pub(crate) struct BatchJob {
 }
 
 /// Spawn the inference worker thread. It scores jobs until the job sender
-/// is dropped, sending one `Vec<Done>` per job (same order as the items).
+/// is dropped, sending one `Vec<Done>` per job (same order as the items)
+/// and then waking the event loop's poller through `waker`.
 ///
 /// The job receiver is shared behind a mutex so the event loop can
 /// respawn a replacement worker after a panic without losing queued jobs:
@@ -219,6 +240,7 @@ pub(crate) struct BatchJob {
 pub(crate) fn spawn_inference_worker(
     jobs: Arc<Mutex<Receiver<BatchJob>>>,
     results: Sender<Vec<Done>>,
+    waker: Waker,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("dader-serve-infer".to_string())
@@ -237,6 +259,7 @@ pub(crate) fn spawn_inference_worker(
             if results.send(dones).is_err() {
                 break; // event loop gone; nothing left to serve
             }
+            waker.wake();
         })
         .expect("spawn inference worker")
 }
@@ -566,15 +589,60 @@ mod tests {
 
     #[test]
     fn flushes_on_deadline_not_before() {
+        // One job in flight: the deadline, not the idle rule, decides.
         let mut b = Batcher::new(64, 500);
         let past = Instant::now() - Duration::from_micros(600);
         b.push(pair_item(0, 0, past));
         let now = Instant::now();
-        assert_eq!(b.should_flush(now, false, 0), Some(FlushReason::Deadline));
+        assert_eq!(b.should_flush(now, false, 1), Some(FlushReason::Deadline));
         let mut fresh = Batcher::new(64, 60_000_000);
         fresh.push(pair_item(0, 0, now));
-        assert_eq!(fresh.should_flush(now, false, 0), None);
-        assert!(fresh.next_deadline().unwrap() > now);
+        assert_eq!(fresh.should_flush(now, false, 1), None);
+        assert!(fresh.next_deadline(1).unwrap() > now);
+    }
+
+    #[test]
+    fn idle_scorer_dispatches_at_once() {
+        let mut b = Batcher::new(64, 60_000_000);
+        let now = Instant::now();
+        b.push(pair_item(0, 0, now));
+        assert_eq!(b.should_flush(now, false, 0), Some(FlushReason::Idle));
+        assert_eq!(FlushReason::Idle.as_str(), "idle");
+        // A full batch still reports its size, idle scorer or not.
+        for i in 1..64 {
+            b.push(pair_item(0, i, now));
+        }
+        assert_eq!(b.should_flush(now, false, 0), Some(FlushReason::Size));
+    }
+
+    #[test]
+    fn one_job_in_flight_holds_until_size_or_deadline() {
+        let mut b = Batcher::new(4, 1_000);
+        let now = Instant::now();
+        b.push(pair_item(0, 0, now));
+        assert_eq!(b.should_flush(now, false, 1), None, "held while the scorer works");
+        let due = b.next_deadline(1).expect("the hold is bounded");
+        assert_eq!(due, now + Duration::from_micros(1_000));
+        assert_eq!(b.should_flush(due, false, 1), Some(FlushReason::Deadline));
+        for i in 1..4 {
+            b.push(pair_item(0, i, now));
+        }
+        assert_eq!(b.should_flush(now, false, 1), Some(FlushReason::Size));
+    }
+
+    #[test]
+    fn two_jobs_in_flight_hold_past_the_deadline() {
+        let mut b = Batcher::new(4, 500);
+        let past = Instant::now() - Duration::from_millis(10);
+        for i in 0..3 {
+            b.push(pair_item(0, i, past));
+        }
+        let now = Instant::now();
+        assert_eq!(b.should_flush(now, false, 2), None);
+        // No timer to wait for: only a returning batch releases the
+        // queue, so the poller must not be told the deadline has passed.
+        assert_eq!(b.next_deadline(2), None);
+        assert_eq!(b.should_flush(now, false, 1), Some(FlushReason::Deadline));
     }
 
     #[test]
@@ -582,7 +650,7 @@ mod tests {
         let mut b = Batcher::new(64, 60_000_000);
         let now = Instant::now();
         b.push(pair_item(0, 0, now));
-        assert_eq!(b.should_flush(now, false, 0), None);
+        assert_eq!(b.should_flush(now, false, 1), None);
         b.push(WorkItem {
             conn: 0,
             seq: 1,
@@ -598,7 +666,7 @@ mod tests {
                 deadline_ms: None,
             })),
         });
-        assert_eq!(b.should_flush(now, false, 0), Some(FlushReason::Table));
+        assert_eq!(b.should_flush(now, false, 1), Some(FlushReason::Table));
         b.take();
         assert!(b.is_empty());
         assert_eq!(b.should_flush(now, false, 0), None);

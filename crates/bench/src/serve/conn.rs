@@ -124,7 +124,7 @@ pub(crate) enum DeadlineKind {
 /// with lazy deletion. Rearming a timer just pushes a new entry with a
 /// bumped generation; stale entries pop harmlessly because their
 /// generation no longer matches the connection's. O(log n) arm, O(1)
-/// next-deadline peek for idle-sleep bounding.
+/// next-deadline peek for bounding the poller's wait.
 pub(crate) struct Deadlines {
     heap: BinaryHeap<std::cmp::Reverse<(Instant, usize, u64, DeadlineKind)>>,
 }
@@ -156,7 +156,7 @@ impl Deadlines {
         due
     }
 
-    /// Earliest armed deadline (possibly stale — fine for sleep bounding).
+    /// Earliest armed deadline (possibly stale — fine for bounding a wait).
     pub(crate) fn next(&self) -> Option<Instant> {
         self.heap.peek().map(|r| r.0 .0)
     }

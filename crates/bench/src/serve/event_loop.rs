@@ -2,14 +2,15 @@
 //! socket, pooling parsed requests from all connections into shared
 //! inference batches.
 //!
-//! Std has no epoll surface, so readiness is driven by nonblocking
-//! syscalls on a short tick: each pass drains finished batches, accepts,
-//! reads every readable socket through the bounded [`LineAssembler`],
-//! fires due read/write deadlines off the [`Deadlines`] wheel, flushes
-//! the [`Batcher`] when size or deadline says so, and pushes buffered
-//! responses out. An idle pass sleeps a few hundred microseconds (bounded
-//! by the next armed deadline), so the empty loop costs nothing
-//! measurable while a loaded one never sleeps at all.
+//! Each pass drains finished batches, accepts, reads every readable
+//! socket through the bounded [`LineAssembler`], fires due read/write
+//! deadlines off the [`Deadlines`] wheel, flushes the [`Batcher`] when its
+//! work-conserving policy says so, and pushes buffered responses out.
+//! Then it blocks in one `ppoll` ([`Poller`]) over the listener, the
+//! connections and a wake socket the inference worker writes to after
+//! every batch, bounded by the next armed deadline. An idle loop costs no
+//! CPU, and a request is never held by a timer tick: an idle scorer gets
+//! it at once, and its answer is written as soon as the batch lands.
 //!
 //! What this buys over the legacy thread-per-connection
 //! [`serve_tcp`](super::serve_tcp):
@@ -38,19 +39,22 @@ use serde::Value;
 use super::admission::{self, Admission};
 use super::batch::{spawn_inference_worker, BatchJob, Batcher, WorkItem, WorkKind};
 use super::conn::{Completed, Conn, DeadlineKind, Deadlines, LineEvent};
+use super::poll::Poller;
 use super::registry::ModelRegistry;
 use super::{
     error_body, metrics, next_rid, parse_request, status, ErrorCode, Parsed, TcpServeConfig,
     Timeline,
 };
 
-/// Idle-pass sleep: long enough to keep the empty loop cold on one CPU,
-/// short enough that accept latency stays sub-millisecond.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
+/// Longest single wait. Nothing signals a raised `stop` flag, so this
+/// bounds how late the loop notices it (and a dead inference worker).
+const STOP_POLL: Duration = Duration::from_millis(100);
 
 /// Serve the line protocol on `listener` until `stop` is raised, pooling
-/// requests from all connections into shared inference batches (flushed on
-/// `cfg.batch_size` or `cfg.flush_us`, whichever comes first). On `stop`
+/// requests from all connections into shared inference batches. A batch
+/// goes out at once while the scorer is idle; while it is busy, requests
+/// are held until `cfg.batch_size` fill a batch or the oldest has waited
+/// `cfg.flush_us`. On `stop`
 /// the listener stops accepting and open connections keep being served
 /// until each client hangs up — the same graceful-drain contract as the
 /// legacy server. Returns the total number of pairs scored.
@@ -69,10 +73,11 @@ pub fn serve_event_loop(
     listener.set_nonblocking(true)?;
     let (job_tx, job_rx) = mpsc::channel::<BatchJob>();
     let (done_tx, done_rx) = mpsc::channel();
+    let mut poller = Poller::new()?;
     // The receiver is shared so a respawned worker (after an uncontained
     // panic) picks up queued jobs where its predecessor left off.
     let job_rx = Arc::new(Mutex::new(job_rx));
-    let mut worker = spawn_inference_worker(Arc::clone(&job_rx), done_tx.clone());
+    let mut worker = spawn_inference_worker(Arc::clone(&job_rx), done_tx.clone(), poller.waker());
     let mut admission = Admission::new(cfg.max_queue);
 
     let mut conns: HashMap<usize, Conn> = HashMap::new();
@@ -87,13 +92,11 @@ pub fn serve_event_loop(
     let reject_hard_cap = cfg.max_conns.saturating_mul(4) + 16;
 
     loop {
-        let mut progress = false;
         let now = Instant::now();
 
         // 1. Land finished batches on their connections.
         while let Ok(dones) = done_rx.try_recv() {
             jobs_in_flight -= 1;
-            progress = true;
             for d in dones {
                 // The connection may be gone (write timeout dropped it);
                 // its responses die quietly with it.
@@ -118,25 +121,32 @@ pub fn serve_event_loop(
         // the shared channel; any job it held died with it and its
         // requests are answered by the send-failure fallback below.
         if worker.is_finished() {
-            let fresh = spawn_inference_worker(Arc::clone(&job_rx), done_tx.clone());
+            let fresh =
+                spawn_inference_worker(Arc::clone(&job_rx), done_tx.clone(), poller.waker());
             let old = std::mem::replace(&mut worker, fresh);
             if old.join().is_err() {
                 metrics().worker_panics.inc();
             }
             dader_obs::counter("serve_worker_respawns_total").inc();
             crate::note!("dader-serve: inference worker died; respawned");
-            progress = true;
         }
 
         // 2. Accept — never past `stop`, never blocking, reject never writes.
         let draining = stop.load(Ordering::Relaxed);
+        // A failing accept (say, out of descriptors) leaves the listener
+        // readable; it sits out the next wait so the loop cannot spin on it.
+        let mut accept_failed = false;
         if !draining {
             loop {
                 match listener.accept() {
                     Ok((sock, peer)) => {
-                        progress = true;
                         metrics().conns_total.inc();
                         sock.set_nonblocking(true)?;
+                        // Responses are short lines: one written before
+                        // the client ACKs the previous must not wait for
+                        // that ACK (Nagle). Best effort — a socket that
+                        // refuses the option still serves.
+                        let _ = sock.set_nodelay(true);
                         let id = next_conn_id;
                         next_conn_id += 1;
                         if serving >= cfg.max_conns {
@@ -176,340 +186,324 @@ pub fn serve_event_loop(
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     Err(e) => {
                         eprintln!("dader-serve: accept failed: {e}");
+                        accept_failed = true;
                         break;
                     }
                 }
             }
         }
 
-        // 3. Read and parse — unless the queue is past its high-water
-        // mark (`cfg.max_queue`), in which case TCP backpressure does the
-        // flow control; reads resume below the low-water mark.
+        // 3. Read and parse every connection the last wait found readable
+        // (step 9 watches none while admission has reads paused).
         let mut dead: Vec<usize> = Vec::new();
-        if admission.reads_allowed(batcher.len()) {
-            let ids: Vec<usize> = conns.keys().copied().collect();
-            for id in ids {
-                let c = conns.get_mut(&id).expect("conn present");
-                if c.closing || c.read_closed {
+        for id in poller.readable() {
+            let Some(c) = conns.get_mut(&id) else {
+                continue;
+            };
+            if c.closing || c.read_closed {
+                continue;
+            }
+            events.clear();
+            let n = match c.read_once(&mut scratch, &mut events) {
+                Ok(n) => n,
+                Err(e) => {
+                    crate::note!("dader-serve: connection failed: {e}");
+                    dead.push(id);
                     continue;
                 }
-                events.clear();
-                let n = match c.read_once(&mut scratch, &mut events) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        crate::note!("dader-serve: connection failed: {e}");
-                        dead.push(id);
-                        continue;
-                    }
-                };
-                if n == 0 && events.is_empty() && !c.read_closed {
-                    continue; // nothing readable this pass
-                }
-                progress = true;
-                for ev in events.drain(..) {
-                    c.lineno += 1;
-                    let lineno = c.lineno;
-                    let arrival = Instant::now();
-                    match ev {
-                        LineEvent::TooLong => {
-                            let seq = c.alloc_seq();
-                            c.complete(
-                                seq,
-                                Completed {
-                                    timeline: Timeline::start(arrival),
-                                    body: error_body(
-                                        ErrorCode::LineTooLong,
-                                        &format!(
-                                            "line {lineno}: request exceeds {} bytes",
-                                            cfg.limits.max_line_bytes
-                                        ),
-                                        Some(lineno),
+            };
+            if n == 0 && events.is_empty() && !c.read_closed {
+                continue; // nothing readable after all
+            }
+            for ev in events.drain(..) {
+                c.lineno += 1;
+                let lineno = c.lineno;
+                let arrival = Instant::now();
+                match ev {
+                    LineEvent::TooLong => {
+                        let seq = c.alloc_seq();
+                        c.complete(
+                            seq,
+                            Completed {
+                                timeline: Timeline::start(arrival),
+                                body: error_body(
+                                    ErrorCode::LineTooLong,
+                                    &format!(
+                                        "line {lineno}: request exceeds {} bytes",
+                                        cfg.limits.max_line_bytes
                                     ),
-                                    version: None,
-                                    scored: 0,
-                                    is_error: true,
-                                },
-                            );
+                                    Some(lineno),
+                                ),
+                                version: None,
+                                scored: 0,
+                                is_error: true,
+                            },
+                        );
+                    }
+                    LineEvent::Line(line) => {
+                        if line.trim().is_empty() {
+                            continue;
                         }
-                        LineEvent::Line(line) => {
-                            if line.trim().is_empty() {
-                                continue;
+                        let parsed = parse_request(&line, lineno);
+                        let mut timeline = Timeline::start(arrival);
+                        timeline.want_timings = parsed.wants_timings();
+                        match parsed {
+                            parsed @ (Parsed::Ok(_) | Parsed::Table(_) | Parsed::Record(_)) => {
+                                let seq = c.alloc_seq();
+                                // One read pass can assemble many lines
+                                // after the watermark check — those over
+                                // the cap are shed, never queued.
+                                if admission.must_shed(batcher.len()) {
+                                    admission::count_shed("queue_full");
+                                    c.complete(
+                                        seq,
+                                        Completed {
+                                            timeline,
+                                            body: error_body(
+                                                ErrorCode::Overloaded,
+                                                &format!(
+                                                    "server queue full ({}); retry later",
+                                                    cfg.max_queue
+                                                ),
+                                                Some(lineno),
+                                            ),
+                                            version: None,
+                                            scored: 0,
+                                            is_error: true,
+                                        },
+                                    );
+                                } else {
+                                    timeline.deadline = admission::resolve_deadline(
+                                        arrival,
+                                        parsed.deadline_ms(),
+                                        cfg.limits.default_deadline,
+                                    );
+                                    let kind = match parsed {
+                                        Parsed::Ok(req) => WorkKind::Pair {
+                                            id: req.id,
+                                            a: req.a,
+                                            b: req.b,
+                                        },
+                                        Parsed::Table(req) => WorkKind::Table(req),
+                                        Parsed::Record(req) => WorkKind::Record(req),
+                                        _ => unreachable!("guarded by the arm pattern"),
+                                    };
+                                    batcher.push(WorkItem {
+                                        conn: id,
+                                        seq,
+                                        timeline,
+                                        kind,
+                                    });
+                                }
                             }
-                            let parsed = parse_request(&line, lineno);
-                            let mut timeline = Timeline::start(arrival);
-                            timeline.want_timings = parsed.wants_timings();
-                            match parsed {
-                                parsed @ (Parsed::Ok(_)
-                                | Parsed::Table(_)
-                                | Parsed::Record(_)) => {
-                                    let seq = c.alloc_seq();
-                                    // One read pass can assemble many lines
-                                    // after the watermark check — those over
-                                    // the cap are shed, never queued.
-                                    if admission.must_shed(batcher.len()) {
-                                        admission::count_shed("queue_full");
-                                        c.complete(
-                                            seq,
-                                            Completed {
-                                                timeline,
-                                                body: error_body(
-                                                    ErrorCode::Overloaded,
-                                                    &format!(
-                                                        "server queue full ({}); retry later",
-                                                        cfg.max_queue
-                                                    ),
-                                                    Some(lineno),
-                                                ),
-                                                version: None,
-                                                scored: 0,
-                                                is_error: true,
-                                            },
-                                        );
-                                    } else {
-                                        timeline.deadline = admission::resolve_deadline(
-                                            arrival,
-                                            parsed.deadline_ms(),
-                                            cfg.limits.default_deadline,
-                                        );
-                                        let kind = match parsed {
-                                            Parsed::Ok(req) => WorkKind::Pair {
-                                                id: req.id,
-                                                a: req.a,
-                                                b: req.b,
-                                            },
-                                            Parsed::Table(req) => WorkKind::Table(req),
-                                            Parsed::Record(req) => WorkKind::Record(req),
-                                            _ => unreachable!("guarded by the arm pattern"),
-                                        };
-                                        batcher.push(WorkItem {
-                                            conn: id,
-                                            seq,
-                                            timeline,
-                                            kind,
-                                        });
-                                    }
-                                }
-                                Parsed::IndexUpsert {
-                                    id: req_id,
-                                    record_id,
-                                    record,
-                                } => {
-                                    // Mutations answer inline on the poller:
-                                    // the write lock is held only for the
-                                    // O(record) slot append, and the bumped
-                                    // generation is echoed so the client can
-                                    // correlate later probes.
-                                    let seq = c.alloc_seq();
-                                    let done = match registry.index() {
-                                        Some(idx) => {
-                                            let (replaced, generation, records) =
-                                                idx.upsert(dader_datagen::Entity {
-                                                    id: record_id.clone(),
-                                                    attrs: record,
-                                                });
-                                            let mut body = Vec::with_capacity(5);
-                                            if let Some(v) = req_id {
-                                                body.push(("id".to_string(), v));
-                                            }
-                                            body.push((
-                                                "upserted".to_string(),
-                                                Value::String(record_id),
-                                            ));
-                                            body.push((
-                                                "replaced".to_string(),
-                                                Value::Bool(replaced),
-                                            ));
-                                            body.push((
-                                                "records".to_string(),
-                                                Value::Int(records as i64),
-                                            ));
-                                            body.push((
-                                                "generation".to_string(),
-                                                Value::Int(generation as i64),
-                                            ));
-                                            Completed {
-                                                timeline,
-                                                body,
-                                                version: Some(registry.version()),
-                                                scored: 0,
-                                                is_error: false,
-                                            }
+                            Parsed::IndexUpsert {
+                                id: req_id,
+                                record_id,
+                                record,
+                            } => {
+                                // Mutations answer inline on the poller:
+                                // the write lock is held only for the
+                                // O(record) slot append, and the bumped
+                                // generation is echoed so the client can
+                                // correlate later probes.
+                                let seq = c.alloc_seq();
+                                let done = match registry.index() {
+                                    Some(idx) => {
+                                        let (replaced, generation, records) =
+                                            idx.upsert(dader_datagen::Entity {
+                                                id: record_id.clone(),
+                                                attrs: record,
+                                            });
+                                        let mut body = Vec::with_capacity(5);
+                                        if let Some(v) = req_id {
+                                            body.push(("id".to_string(), v));
                                         }
-                                        None => Completed {
-                                            timeline,
-                                            body: error_body(
-                                                ErrorCode::InvalidRequest,
-                                                &format!(
-                                                    "line {lineno}: no index loaded; start \
-                                                     dader-serve with --index or reload one"
-                                                ),
-                                                Some(lineno),
-                                            ),
-                                            version: None,
-                                            scored: 0,
-                                            is_error: true,
-                                        },
-                                    };
-                                    c.complete(seq, done);
-                                }
-                                Parsed::IndexDelete { id: req_id, record_id } => {
-                                    let seq = c.alloc_seq();
-                                    let done = match registry.index() {
-                                        Some(idx) => {
-                                            let (deleted, generation, records) =
-                                                idx.delete(&record_id);
-                                            let mut body = Vec::with_capacity(5);
-                                            if let Some(v) = req_id {
-                                                body.push(("id".to_string(), v));
-                                            }
-                                            body.push((
-                                                "deleted".to_string(),
-                                                Value::Bool(deleted),
-                                            ));
-                                            body.push((
-                                                "record_id".to_string(),
-                                                Value::String(record_id),
-                                            ));
-                                            body.push((
-                                                "records".to_string(),
-                                                Value::Int(records as i64),
-                                            ));
-                                            body.push((
-                                                "generation".to_string(),
-                                                Value::Int(generation as i64),
-                                            ));
-                                            Completed {
-                                                timeline,
-                                                body,
-                                                version: Some(registry.version()),
-                                                scored: 0,
-                                                is_error: false,
-                                            }
-                                        }
-                                        None => Completed {
-                                            timeline,
-                                            body: error_body(
-                                                ErrorCode::InvalidRequest,
-                                                &format!(
-                                                    "line {lineno}: no index loaded; start \
-                                                     dader-serve with --index or reload one"
-                                                ),
-                                                Some(lineno),
-                                            ),
-                                            version: None,
-                                            scored: 0,
-                                            is_error: true,
-                                        },
-                                    };
-                                    c.complete(seq, done);
-                                }
-                                Parsed::Reload(target) => {
-                                    // Swap happens inline: the new artifact
-                                    // loads before any further intake, and
-                                    // in-flight batches keep their snapshot.
-                                    let seq = c.alloc_seq();
-                                    let outcome = match target {
-                                        super::ReloadTarget::Model(path) => registry
-                                            .reload(path.as_deref().map(Path::new))
-                                            .map(|version| {
-                                                crate::note!(
-                                                    "dader-serve: hot reload -> {version}"
-                                                );
-                                                vec![(
-                                                    "reloaded".to_string(),
-                                                    Value::Bool(true),
-                                                )]
-                                            }),
-                                        super::ReloadTarget::Index(path) => registry
-                                            .reload_index(path.as_deref().map(Path::new))
-                                            .map(|stats| {
-                                                crate::note!(
-                                                    "dader-serve: index reload -> {} records, \
-                                                     generation {}",
-                                                    stats.records,
-                                                    stats.generation
-                                                );
-                                                vec![
-                                                    (
-                                                        "reloaded".to_string(),
-                                                        Value::Bool(true),
-                                                    ),
-                                                    (
-                                                        "index_records".to_string(),
-                                                        Value::Int(stats.records as i64),
-                                                    ),
-                                                    (
-                                                        "generation".to_string(),
-                                                        Value::Int(stats.generation as i64),
-                                                    ),
-                                                ]
-                                            }),
-                                    };
-                                    let done = match outcome {
-                                        Ok(body) => Completed {
+                                        body.push((
+                                            "upserted".to_string(),
+                                            Value::String(record_id),
+                                        ));
+                                        body.push(("replaced".to_string(), Value::Bool(replaced)));
+                                        body.push((
+                                            "records".to_string(),
+                                            Value::Int(records as i64),
+                                        ));
+                                        body.push((
+                                            "generation".to_string(),
+                                            Value::Int(generation as i64),
+                                        ));
+                                        Completed {
                                             timeline,
                                             body,
                                             version: Some(registry.version()),
                                             scored: 0,
                                             is_error: false,
-                                        },
-                                        Err(msg) => Completed {
-                                            timeline,
-                                            body: error_body(
-                                                ErrorCode::Internal,
-                                                &format!("line {lineno}: reload failed: {msg}"),
-                                                Some(lineno),
+                                        }
+                                    }
+                                    None => Completed {
+                                        timeline,
+                                        body: error_body(
+                                            ErrorCode::InvalidRequest,
+                                            &format!(
+                                                "line {lineno}: no index loaded; start \
+                                                 dader-serve with --index or reload one"
                                             ),
-                                            version: None,
-                                            scored: 0,
-                                            is_error: true,
-                                        },
-                                    };
-                                    c.complete(seq, done);
-                                }
-                                Parsed::Status => {
-                                    // Answered inline from the live metrics:
-                                    // a status probe never waits on a batch.
-                                    let seq = c.alloc_seq();
-                                    let current = registry.current();
-                                    c.complete(
-                                        seq,
+                                            Some(lineno),
+                                        ),
+                                        version: None,
+                                        scored: 0,
+                                        is_error: true,
+                                    },
+                                };
+                                c.complete(seq, done);
+                            }
+                            Parsed::IndexDelete {
+                                id: req_id,
+                                record_id,
+                            } => {
+                                let seq = c.alloc_seq();
+                                let done = match registry.index() {
+                                    Some(idx) => {
+                                        let (deleted, generation, records) = idx.delete(&record_id);
+                                        let mut body = Vec::with_capacity(5);
+                                        if let Some(v) = req_id {
+                                            body.push(("id".to_string(), v));
+                                        }
+                                        body.push(("deleted".to_string(), Value::Bool(deleted)));
+                                        body.push((
+                                            "record_id".to_string(),
+                                            Value::String(record_id),
+                                        ));
+                                        body.push((
+                                            "records".to_string(),
+                                            Value::Int(records as i64),
+                                        ));
+                                        body.push((
+                                            "generation".to_string(),
+                                            Value::Int(generation as i64),
+                                        ));
                                         Completed {
                                             timeline,
-                                            body: vec![(
-                                                "status".to_string(),
-                                                status::status_snapshot(Some(&registry)),
-                                            )],
-                                            version: Some(current.version.clone()),
+                                            body,
+                                            version: Some(registry.version()),
                                             scored: 0,
                                             is_error: false,
-                                        },
-                                    );
-                                }
-                                Parsed::Err(code, msg) => {
-                                    let seq = c.alloc_seq();
-                                    c.complete(
-                                        seq,
-                                        Completed {
-                                            timeline,
-                                            body: error_body(code, &msg, Some(lineno)),
-                                            version: None,
-                                            scored: 0,
-                                            is_error: true,
-                                        },
-                                    );
-                                }
+                                        }
+                                    }
+                                    None => Completed {
+                                        timeline,
+                                        body: error_body(
+                                            ErrorCode::InvalidRequest,
+                                            &format!(
+                                                "line {lineno}: no index loaded; start \
+                                                 dader-serve with --index or reload one"
+                                            ),
+                                            Some(lineno),
+                                        ),
+                                        version: None,
+                                        scored: 0,
+                                        is_error: true,
+                                    },
+                                };
+                                c.complete(seq, done);
+                            }
+                            Parsed::Reload(target) => {
+                                // Swap happens inline: the new artifact
+                                // loads before any further intake, and
+                                // in-flight batches keep their snapshot.
+                                let seq = c.alloc_seq();
+                                let outcome = match target {
+                                    super::ReloadTarget::Model(path) => registry
+                                        .reload(path.as_deref().map(Path::new))
+                                        .map(|version| {
+                                            crate::note!("dader-serve: hot reload -> {version}");
+                                            vec![("reloaded".to_string(), Value::Bool(true))]
+                                        }),
+                                    super::ReloadTarget::Index(path) => registry
+                                        .reload_index(path.as_deref().map(Path::new))
+                                        .map(|stats| {
+                                            crate::note!(
+                                                "dader-serve: index reload -> {} records, \
+                                                 generation {}",
+                                                stats.records,
+                                                stats.generation
+                                            );
+                                            vec![
+                                                ("reloaded".to_string(), Value::Bool(true)),
+                                                (
+                                                    "index_records".to_string(),
+                                                    Value::Int(stats.records as i64),
+                                                ),
+                                                (
+                                                    "generation".to_string(),
+                                                    Value::Int(stats.generation as i64),
+                                                ),
+                                            ]
+                                        }),
+                                };
+                                let done = match outcome {
+                                    Ok(body) => Completed {
+                                        timeline,
+                                        body,
+                                        version: Some(registry.version()),
+                                        scored: 0,
+                                        is_error: false,
+                                    },
+                                    Err(msg) => Completed {
+                                        timeline,
+                                        body: error_body(
+                                            ErrorCode::Internal,
+                                            &format!("line {lineno}: reload failed: {msg}"),
+                                            Some(lineno),
+                                        ),
+                                        version: None,
+                                        scored: 0,
+                                        is_error: true,
+                                    },
+                                };
+                                c.complete(seq, done);
+                            }
+                            Parsed::Status => {
+                                // Answered inline from the live metrics:
+                                // a status probe never waits on a batch.
+                                let seq = c.alloc_seq();
+                                let current = registry.current();
+                                c.complete(
+                                    seq,
+                                    Completed {
+                                        timeline,
+                                        body: vec![(
+                                            "status".to_string(),
+                                            status::status_snapshot(Some(&registry)),
+                                        )],
+                                        version: Some(current.version.clone()),
+                                        scored: 0,
+                                        is_error: false,
+                                    },
+                                );
+                            }
+                            Parsed::Err(code, msg) => {
+                                let seq = c.alloc_seq();
+                                c.complete(
+                                    seq,
+                                    Completed {
+                                        timeline,
+                                        body: error_body(code, &msg, Some(lineno)),
+                                        version: None,
+                                        scored: 0,
+                                        is_error: true,
+                                    },
+                                );
                             }
                         }
                     }
                 }
-                // Activity rearms the idle clock (one wheel entry per
-                // active pass, not per line).
-                if let Some(rt) = cfg.limits.read_timeout {
-                    if !c.read_closed {
-                        c.read_gen += 1;
-                        deadlines.arm(now + rt, id, c.read_gen, DeadlineKind::Read);
-                    }
+            }
+            // Activity rearms the idle clock (one wheel entry per
+            // active pass, not per line).
+            if let Some(rt) = cfg.limits.read_timeout {
+                if !c.read_closed {
+                    c.read_gen += 1;
+                    deadlines.arm(now + rt, id, c.read_gen, DeadlineKind::Read);
                 }
             }
         }
@@ -517,7 +511,9 @@ pub fn serve_event_loop(
         // 4. Fire due deadlines (lazy deletion: stale generations pop as
         // no-ops).
         for (id, generation, kind) in deadlines.expired(now) {
-            let Some(c) = conns.get_mut(&id) else { continue };
+            let Some(c) = conns.get_mut(&id) else {
+                continue;
+            };
             match kind {
                 DeadlineKind::Read => {
                     if c.closing || c.read_closed || c.read_gen != generation {
@@ -547,13 +543,11 @@ pub fn serve_event_loop(
                         },
                     );
                     c.closing = true;
-                    progress = true;
                 }
                 DeadlineKind::Write => {
                     if c.write_gen == generation && c.write_armed && c.has_output() {
                         crate::note!("dader-serve: dropping connection (write timeout)");
                         dead.push(id);
-                        progress = true;
                     }
                 }
             }
@@ -612,7 +606,6 @@ pub fn serve_event_loop(
                 continue;
             }
             jobs_in_flight += 1;
-            progress = true;
         }
         metrics().queue_depth.set(batcher.len() as f64);
 
@@ -629,8 +622,7 @@ pub fn serve_event_loop(
                 }
             };
             match c.flush_writes() {
-                Ok(true) => progress = true,
-                Ok(false) => {}
+                Ok(_) => {}
                 Err(_) => {
                     // Peer gone mid-write; nothing left to tell it.
                     dead.push(id);
@@ -665,19 +657,26 @@ pub fn serve_event_loop(
             break;
         }
 
-        // 9. Idle pass: sleep briefly, bounded by the next thing due.
-        if !progress {
-            let mut sleep = IDLE_SLEEP;
-            for due in [deadlines.next(), batcher.next_deadline()]
-                .into_iter()
-                .flatten()
-            {
-                sleep = sleep.min(due.saturating_duration_since(now));
-            }
-            if !sleep.is_zero() {
-                std::thread::sleep(sleep);
-            }
+        // 9. Block until something can move: a readable or writable
+        // socket, a new connection, a finished batch (the worker's wake
+        // byte) or the next due timer. Sockets are watched for reading
+        // only below the admission high-water mark (`cfg.max_queue`);
+        // above it TCP backpressure does the flow control, and reads
+        // resume below the low-water mark.
+        let reads_allowed = admission.reads_allowed(batcher.len());
+        poller.begin((!draining && !accept_failed).then_some(&listener));
+        for (&id, c) in &conns {
+            let read = reads_allowed && !c.closing && !c.read_closed;
+            poller.watch(id, &c.stream, read, c.has_output());
         }
+        let now = Instant::now();
+        let timeout = [deadlines.next(), batcher.next_deadline(jobs_in_flight)]
+            .into_iter()
+            .flatten()
+            .fold(STOP_POLL, |t, due| {
+                t.min(due.saturating_duration_since(now))
+            });
+        poller.wait(timeout)?;
     }
 
     drop(job_tx);

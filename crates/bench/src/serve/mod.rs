@@ -59,6 +59,7 @@ pub mod admission;
 pub mod batch;
 pub mod conn;
 pub mod event_loop;
+mod poll;
 pub mod registry;
 pub mod status;
 
@@ -1465,9 +1466,13 @@ pub struct TcpServeConfig {
     /// enqueues it on a nonblocking socket, the legacy path writes it
     /// from a scratch thread with the write timeout already applied.
     pub max_conns: usize,
-    /// Batch flush deadline in microseconds (event loop only): a pending
-    /// request is never held longer than this waiting for the batch to
-    /// fill. Trades p50 latency for GEMM batch occupancy.
+    /// Batch hold bound in microseconds (event loop only). The flush is
+    /// work-conserving: while no batch is being scored a request is
+    /// dispatched at once, whatever this says. Only while the scorer is
+    /// busy with one batch are requests held, for at most this long, so
+    /// the next batch fills; with two in flight they wait for one to
+    /// return. The event loop waits out the hold in `ppoll`, to the
+    /// microsecond. Trades latency under load for GEMM batch occupancy.
     pub flush_us: u64,
     /// Admission bound on the pending-request queue (event loop only).
     /// At this depth socket reads pause (TCP backpressure) and resume
@@ -1589,6 +1594,9 @@ pub fn serve_tcp(
                 // non-blocking mode; per-connection I/O uses timeouts
                 // instead.
                 let _ = conn.set_nonblocking(false);
+                // Short response lines go out without waiting for the
+                // client's ACK of the previous one (Nagle).
+                let _ = conn.set_nodelay(true);
                 // Timeouts are applied before ANY write — including the
                 // overloaded reject below. Writing first wedged the single
                 // accept thread on a client that connected at the cap and

@@ -399,6 +399,99 @@ fn event_loop_timings_nest_inside_latency() {
     );
 }
 
+/// The flush is work-conserving: with the scorer idle, a lone request is
+/// dispatched at once rather than held for `flush_us` in the hope that a
+/// batch fills.
+#[test]
+fn idle_server_answers_before_the_flush_deadline() {
+    let cfg = TcpServeConfig {
+        flush_us: 200_000,
+        ..fast_cfg()
+    };
+    let (addr, stop, handle) = start("event_loop", cfg);
+    let mut conn = connect(addr);
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for i in 0..3 {
+        let sent = std::time::Instant::now();
+        conn.write_all(pair_line(i).as_bytes()).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let waited = sent.elapsed();
+        assert!(line.contains("\"match\""), "scored response, got {line}");
+        assert!(
+            waited < Duration::from_millis(100),
+            "request {i} held {waited:?} by a 200 ms flush deadline on an idle server"
+        );
+    }
+    drop(reader);
+    drop(conn);
+    stop.store(true, Ordering::Relaxed);
+    assert_eq!(handle.join().unwrap().unwrap(), 3);
+}
+
+/// CPU time the thread `tid` of this process has used so far.
+#[cfg(target_os = "linux")]
+fn thread_cpu(tid: &str) -> Duration {
+    let task = format!("/proc/self/task/{tid}");
+    // schedstat's first field is nanoseconds on CPU; stat's utime and
+    // stime (fields 14 and 15) count 10 ms clock ticks.
+    if let Some(ns) = std::fs::read_to_string(format!("{task}/schedstat"))
+        .ok()
+        .and_then(|s| s.split_whitespace().next()?.parse::<u64>().ok())
+    {
+        return Duration::from_nanos(ns);
+    }
+    let stat = std::fs::read_to_string(format!("{task}/stat")).unwrap();
+    let after_comm = &stat[stat.rfind(')').unwrap() + 2..];
+    let ticks: u64 = after_comm
+        .split_whitespace()
+        .skip(11)
+        .take(2)
+        .map(|f| f.parse::<u64>().unwrap())
+        .sum();
+    Duration::from_millis(ticks * 10)
+}
+
+/// An idle event loop blocks in `ppoll` instead of ticking: over one idle
+/// second, with a connected client that sends nothing, the poller thread
+/// uses almost no CPU.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_event_loop_uses_almost_no_cpu() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (tid_tx, tid_rx) = std::sync::mpsc::channel();
+    let handle = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            // "/proc/thread-self" links to "<pid>/task/<tid>".
+            let link = std::fs::read_link("/proc/thread-self").unwrap();
+            let tid = link.file_name().unwrap().to_string_lossy().into_owned();
+            tid_tx.send(tid).unwrap();
+            serve_event_loop(
+                Arc::new(ModelRegistry::new(tiny_server(3))),
+                listener,
+                fast_cfg(),
+                stop,
+            )
+        })
+    };
+    let tid = tid_rx.recv().unwrap();
+    let idle_client = connect(addr);
+    std::thread::sleep(Duration::from_millis(200));
+    let before = thread_cpu(&tid);
+    std::thread::sleep(Duration::from_secs(1));
+    let used = thread_cpu(&tid) - before;
+    drop(idle_client);
+    stop.store(true, Ordering::Relaxed);
+    handle.join().unwrap().unwrap();
+    assert!(
+        used < Duration::from_millis(5),
+        "idle poller used {used:?} of CPU in one second"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Property: pooling requests across connections is invisible in the
 // results — every client gets bitwise the predictions the blocking

@@ -44,9 +44,8 @@ pub struct EpochReport {
 pub struct RunTelemetry {
     sink: Option<TelemetrySink>,
     verbose: bool,
-    /// Span-enable state to restore when the run ends (`None` when this
-    /// run never touched it).
-    restore_spans: Option<bool>,
+    /// Keeps spans recording for the run (`None` when telemetry is off).
+    _spans: Option<dader_obs::SpanSession>,
     /// Span totals at the last record, for per-epoch deltas.
     prev_spans: HashMap<&'static str, SpanStat>,
     epoch_start: Instant,
@@ -57,7 +56,7 @@ impl RunTelemetry {
     /// file can't be created — silently losing a run's records is worse.
     pub fn new(cfg: &TrainConfig) -> RunTelemetry {
         let active = cfg.telemetry.is_some() || cfg.verbose;
-        let restore_spans = active.then(|| dader_obs::set_enabled(true));
+        let spans = active.then(dader_obs::SpanSession::open);
         let sink = cfg.telemetry.as_ref().map(|path| {
             // A resumed run appends, keeping the interrupted run's records.
             let open = if cfg.resume.is_some() {
@@ -73,7 +72,7 @@ impl RunTelemetry {
         RunTelemetry {
             sink,
             verbose: cfg.verbose,
-            restore_spans,
+            _spans: spans,
             prev_spans,
             epoch_start: Instant::now(),
         }
@@ -170,14 +169,6 @@ fn json_f32(v: f32) -> String {
         format!("{v}")
     } else {
         "null".to_string()
-    }
-}
-
-impl Drop for RunTelemetry {
-    fn drop(&mut self) {
-        if let Some(prev) = self.restore_spans {
-            dader_obs::set_enabled(prev);
-        }
     }
 }
 

@@ -12,6 +12,14 @@ use dader_text::{PairEncoder, Vocab};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The span switch is process-global: while one test's run holds spans
+/// on, another's "spans off after training" check cannot hold. The runs
+/// take turns.
+fn span_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn setup() -> (ErDataset, ErDataset, ErDataset, PairEncoder) {
     let src = DatasetId::FZ.generate_scaled(2, 90);
     let tgt = DatasetId::ZY.generate_scaled(2, 90);
@@ -49,6 +57,7 @@ fn field<'a>(v: &'a serde_json::Value, key: &str) -> &'a serde_json::Value {
 
 #[test]
 fn algorithm1_writes_one_record_per_epoch() {
+    let _spans = span_lock();
     let (src, tgt, val, enc) = setup();
     let task = DaTask {
         source: &src,
@@ -115,6 +124,7 @@ fn algorithm1_writes_one_record_per_epoch() {
 
 #[test]
 fn algorithm2_emits_step1_and_adversarial_phases() {
+    let _spans = span_lock();
     let (src, tgt, val, enc) = setup();
     let task = DaTask {
         source: &src,
@@ -151,4 +161,5 @@ fn algorithm2_emits_step1_and_adversarial_phases() {
     // Step 1 does not evaluate; the adversarial phase does.
     assert_eq!(field(&records[0], "val_f1"), &serde_json::Value::Null);
     assert!(field(&records[2], "val_f1").as_f64().is_some());
+    assert!(!dader_obs::span_enabled(), "spans left on after training");
 }

@@ -9,9 +9,9 @@
 //! * [`span`] — lightweight wall-clock timers (`span!("gemm")` guards)
 //!   aggregated globally by name: call counts, total and *self* time
 //!   (total minus time spent in nested spans on the same thread). Spans
-//!   are **off by default**; until [`set_enabled`]`(true)` a guard costs
-//!   one relaxed atomic load, so instrumented hot paths run at
-//!   uninstrumented speed.
+//!   are **off by default**; until [`set_enabled`]`(true)` or an open
+//!   [`SpanSession`] turns them on, a guard costs one relaxed atomic
+//!   load, so instrumented hot paths run at uninstrumented speed.
 //! * [`metrics`] — a registry of named counters, gauges and fixed-bucket
 //!   histograms (p50/p95/p99 extraction, Prometheus-style text dump).
 //!   Handles are lock-free `Arc<Atomic…>` cells, cheap enough to stay
@@ -48,7 +48,7 @@ pub use metrics::{
     counter, counter_labeled, counter_labeled_values, gauge, histogram, quantile_from_counts,
     render_prometheus, Counter, Gauge, Histogram, CANDIDATE_SET_BUCKETS,
 };
-pub use span::{set_enabled, span_enabled, timing_snapshot, SpanStat};
+pub use span::{set_enabled, span_enabled, timing_snapshot, SpanSession, SpanStat};
 pub use telemetry::{EpochRecord, OpSummary, TelemetrySink};
 pub use trace::{Stage, TraceEvent};
 pub use window::{windowed, WindowSnapshot, WindowedHistogram};

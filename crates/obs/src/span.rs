@@ -10,18 +10,23 @@
 //!
 //! Spans are disabled by default: [`span`] then returns an inert guard
 //! after a single relaxed atomic load, keeping instrumented kernels at
-//! uninstrumented speed. Telemetry-producing entry points (training with
-//! `--telemetry`/`--verbose`, `dader-serve`) switch them on via
-//! [`set_enabled`].
+//! uninstrumented speed. Spans record while the manual switch
+//! ([`set_enabled`]) is on or any [`SpanSession`] is open. Training with
+//! `--telemetry`/`--verbose` holds a session for the run, so overlapping
+//! runs in one process keep spans on until the last of them ends.
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Process-wide span switch (off by default).
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Process-wide span switch (off by default): bit 0 is the manual flag
+/// of [`set_enabled`], the bits above count open [`SpanSession`]s. Spans
+/// record while it is non-zero.
+static STATE: AtomicUsize = AtomicUsize::new(0);
+const MANUAL: usize = 1;
+const ONE_SESSION: usize = 2;
 
 /// Aggregated totals per span name.
 static REGISTRY: Mutex<Option<HashMap<&'static str, Agg>>> = Mutex::new(None);
@@ -39,15 +44,42 @@ thread_local! {
     static CHILD_NS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Turn span recording on or off process-wide. Returns the previous
-/// state so scoped callers can restore it.
+/// Turn the manual span switch on or off process-wide. Returns its
+/// previous state so scoped callers can restore it. Open
+/// [`SpanSession`]s keep spans recording whatever the switch says.
 pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::Relaxed)
+    let prev = if on {
+        STATE.fetch_or(MANUAL, Ordering::Relaxed)
+    } else {
+        STATE.fetch_and(!MANUAL, Ordering::Relaxed)
+    };
+    prev & MANUAL != 0
 }
 
 /// True when spans are currently being recorded.
 pub fn span_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    STATE.load(Ordering::Relaxed) != 0
+}
+
+/// A counted hold on span recording: spans record while any session is
+/// open, so one scoped user ending cannot switch spans off under another
+/// that is still running (a swap-and-restore of one flag can, when the
+/// two scopes overlap without nesting).
+#[must_use = "spans record only while the session is held"]
+pub struct SpanSession(());
+
+impl SpanSession {
+    /// Open a session; spans record until it (and every other) drops.
+    pub fn open() -> SpanSession {
+        STATE.fetch_add(ONE_SESSION, Ordering::Relaxed);
+        SpanSession(())
+    }
+}
+
+impl Drop for SpanSession {
+    fn drop(&mut self) {
+        STATE.fetch_sub(ONE_SESSION, Ordering::Relaxed);
+    }
 }
 
 /// Open a span; timing stops when the returned guard drops. Inert (one
@@ -187,6 +219,24 @@ mod tests {
             let _s = span("span_test_disabled");
         }
         assert!(stat("span_test_disabled").is_none());
+    }
+
+    #[test]
+    fn overlapping_sessions_keep_spans_on_until_the_last_closes() {
+        let _g = guard();
+        let prev = set_enabled(false);
+        assert!(!span_enabled());
+        let a = SpanSession::open();
+        let b = SpanSession::open();
+        drop(a); // closes first although opened first: not nested
+        assert!(span_enabled(), "b is still open");
+        // The manual switch neither ends nor is ended by a session.
+        assert!(!set_enabled(true));
+        assert!(set_enabled(false));
+        assert!(span_enabled(), "b is still open");
+        drop(b);
+        assert!(!span_enabled());
+        set_enabled(prev);
     }
 
     #[test]
