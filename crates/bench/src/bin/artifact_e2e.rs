@@ -6,8 +6,8 @@
 //!    in-memory model (the durability contract of the artifact format).
 //! 4. Quantize the artifact to int8 (format v2), reload it, and verify the
 //!    quantized model's eval-phase throughput and F1 delta.
-//! 5. Measure serving throughput (pairs/s) through the `MatchServer` line
-//!    protocol at a few batch sizes.
+//! 5. Measure serving throughput (pairs/s) of the line protocol through
+//!    `serve_stream` (the `dader-serve` stdin path) at a few batch sizes.
 //!
 //! ```text
 //! cargo run --release -p dader-bench --bin artifact_e2e [-- --threads N]
@@ -22,7 +22,7 @@ use dader_bench::report::{
     write_bench_snapshot_with_eval, BenchEvalComparison, BenchEvalDataset, BenchPhase,
     BenchThroughput,
 };
-use dader_bench::{note, Context, MatchServer, Scale};
+use dader_bench::{note, serve_stream, Context, MatchServer, ModelRegistry, Scale, TcpServeConfig};
 use dader_core::artifact::ModelArtifact;
 use dader_core::{AlignerKind, InferenceModel};
 use dader_datagen::DatasetId;
@@ -119,6 +119,7 @@ fn main() {
     // ---- 5. serving throughput --------------------------------------
     let t_serve = std::time::Instant::now();
     let server = MatchServer::new(reloaded, renc, art.description.clone());
+    let registry = std::sync::Arc::new(ModelRegistry::new(server));
     let mut request_lines = String::new();
     let n_requests = splits.test.len();
     for (i, pair) in splits.test.pairs.iter().enumerate() {
@@ -141,9 +142,13 @@ fn main() {
     let mut best_rate = 0.0f64;
     for batch in [1usize, 8, 32] {
         let mut sink = Vec::new();
+        let input = Cursor::new(request_lines.clone().into_bytes());
+        let cfg = TcpServeConfig {
+            batch_size: batch,
+            ..TcpServeConfig::default()
+        };
         let t = std::time::Instant::now();
-        let scored = server
-            .handle(Cursor::new(request_lines.as_bytes()), &mut sink, batch)
+        let scored = serve_stream(std::sync::Arc::clone(&registry), input, &mut sink, cfg)
             .expect("serve request stream");
         let dt = t.elapsed().as_secs_f64();
         assert_eq!(scored, n_requests);

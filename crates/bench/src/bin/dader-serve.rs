@@ -3,33 +3,36 @@
 //!
 //! ```text
 //! dader-serve <artifact> [--batch-size N] [--threads N] [--listen ADDR]
-//!             [--flush-us N] [--thread-per-conn]
+//!             [--index FILE] [--flush-us N]
 //!             [--max-line-bytes N] [--timeout-ms N] [--max-conns N]
 //!             [--max-queue N] [--default-deadline-ms N]
 //!             [--metrics-addr ADDR] [--trace FILE] [--trace-sample N]
 //!             [--quiet] [--verbose]
 //! ```
 //!
-//! By default requests are read from stdin and answered on stdout, one
-//! JSON object per line (see `dader_bench::serve` for the protocol). With
+//! One serving core answers both transports: a single nonblocking event
+//! loop, blocking in `ppoll(2)` between passes, that pools requests from
+//! *all* connections into shared inference batches. By default requests
+//! are read from stdin and answered on stdout, one JSON object per line
+//! (see `dader_bench::serve` for the protocol): stdin rides the loop as
+//! one connection that never times out and is never shed. With
 //! `--listen 127.0.0.1:7878` (port 0 for ephemeral) a TCP listener serves
-//! concurrent connections — a single nonblocking event loop, blocking in
-//! `ppoll(2)` between passes, that pools requests from *all* connections
-//! into shared inference batches. The flush is work-conserving: while the
-//! scorer is idle a request is dispatched at once; while a batch is being
-//! scored, new requests are held until `--batch-size` of them fill the
-//! next batch or the oldest has waited `--flush-us` microseconds (default
-//! 1000). `--thread-per-conn` selects the legacy one-thread-per-connection
-//! core instead (per-connection batching; kept for before/after
-//! comparison). Every response carries a monotonic `rid`, the server-side
-//! `latency_us`, and — in event-loop mode — the `version` tag of the
-//! model that scored it.
+//! concurrent connections instead. The flush is work-conserving: while
+//! the scorer is idle a request is dispatched at once; while a batch is
+//! being scored, new requests are held until `--batch-size` of them fill
+//! the next batch or the oldest has waited `--flush-us` microseconds
+//! (default 1000). Every response carries a monotonic `rid`, the
+//! server-side `latency_us`, and the `version` tag of the model that
+//! scored it. `--index FILE` loads a `.ddri` corpus index for the
+//! `match_record`, `index_upsert`/`index_delete` and right-less
+//! `match_table` modes.
 //!
 //! The served artifact can be swapped without dropping a request: send
-//! `{"mode": "reload"}` on any connection (optionally with
-//! `"artifact": "<path>"`), or type `reload [path]` on the process stdin.
-//! In-flight batches finish on the model they started with; the response
-//! `version` tag flips from `v1` to `v2` exactly at the swap.
+//! `{"mode": "reload"}` on any connection or on the stdin stream
+//! (optionally with `"artifact": "<path>"`), or, in `--listen` mode, type
+//! `reload [path]` on the process stdin. In-flight batches finish on the
+//! model they started with; the response `version` tag flips from `v1`
+//! to `v2` exactly at the swap.
 //!
 //! The server is hardened against broken or hostile clients: request
 //! lines longer than `--max-line-bytes` (default 1 MiB) are drained and
@@ -79,14 +82,21 @@
 //! `write_us`) with no tracing enabled at all.
 //!
 //! Malformed requests produce `{"error": ...}` responses in place; the
-//! process never exits on bad input. A missing or corrupted artifact is
-//! reported as a structured error on stderr with a non-zero exit.
+//! process never exits on bad input. In stdin mode it exits 0 once stdin
+//! hits EOF and every line is answered, and non-zero if stdout closes
+//! first. A missing or corrupted artifact, or an unknown flag, is
+//! reported as an error on stderr with a non-zero exit.
 
-use std::io::{BufRead, BufWriter};
+use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use dader_bench::{note, MatchServer, ModelRegistry, ServeLimits, TcpServeConfig};
+use dader_bench::{note, ModelRegistry, ServeLimits, TcpServeConfig};
+
+const USAGE: &str = "usage: dader-serve <artifact> [--batch-size N] [--threads N] \
+[--listen ADDR] [--index FILE] [--flush-us N] [--max-line-bytes N] [--timeout-ms N] \
+[--max-conns N] [--max-queue N] [--default-deadline-ms N] [--metrics-addr ADDR] \
+[--trace FILE] [--trace-sample N] [--quiet] [--verbose]";
 
 /// Raised by the SIGTERM/SIGINT handler; a watcher thread folds it into
 /// the serve stop flag so `--listen` mode drains gracefully (stop
@@ -121,53 +131,43 @@ fn arg_value(args: &[String], key: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == key).map(|w| w[1].clone())
 }
 
+/// Reject anything after the artifact path that is not a flag `USAGE`
+/// lists (a typo such as `--flush_us` would otherwise be silently
+/// ignored), and a value flag missing its value.
+fn check_flags(args: &[String]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        // `USAGE` names every flag, as `[--flag VALUE]` or `[--flag]`.
+        let listed = |form: String| !arg.contains(' ') && USAGE.contains(&form);
+        let known = if listed(format!("[{arg} ")) {
+            rest.next().is_some()
+        } else {
+            listed(format!("[{arg}]"))
+        };
+        if !known {
+            eprintln!("{USAGE}");
+            fail(&format!("unknown flag or missing value: {arg}"));
+        }
+    }
+}
+
 fn fail(msg: &str) -> ! {
     eprintln!("dader-serve: error: {msg}");
     std::process::exit(1);
 }
 
-/// Start the HTTP status/metrics endpoint on `addr` (port 0 binds an
-/// ephemeral port) and announce the bound address on stderr so test
-/// harnesses can find it.
-fn spawn_metrics_endpoint(addr: &str, registry: Option<Arc<ModelRegistry>>) {
-    match dader_bench::spawn_status_endpoint(addr, registry) {
-        Ok(bound) => eprintln!("dader-serve: metrics on {bound}"),
-        Err(e) => fail(&format!("cannot bind metrics endpoint on {addr}: {e}")),
-    }
-}
-
-/// Export the sampled trace ring as Chrome `trace_event` JSON (shutdown).
-fn export_trace(path: &str) {
-    match dader_obs::trace::write_chrome_trace_file(path) {
-        Ok(n) => {
-            let dropped = dader_obs::trace::dropped();
-            note!("dader-serve: wrote {n} trace events to {path} ({dropped} evicted)");
-        }
-        Err(e) => eprintln!("dader-serve: cannot write trace to {path}: {e}"),
-    }
-}
-
 fn main() {
     dader_bench::init_cli();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(|a| a == "--help" || a == "-h").unwrap_or(true) {
-        eprintln!(
-            "usage: dader-serve <artifact> [--batch-size N] [--threads N] [--listen ADDR] [--index FILE] [--flush-us N] [--thread-per-conn] [--max-line-bytes N] [--timeout-ms N] [--max-conns N] [--max-queue N] [--default-deadline-ms N] [--metrics-addr ADDR] [--trace FILE] [--trace-sample N] [--quiet] [--verbose]"
-        );
+    if args.first().is_none_or(|a| a == "--help" || a == "-h") {
+        eprintln!("{USAGE}");
         std::process::exit(if args.is_empty() { 1 } else { 0 });
     }
     let artifact = args[0].clone();
     if artifact.starts_with("--") {
         fail("first argument must be the artifact path");
     }
-    let batch_size = match arg_value(&args, "--batch-size") {
-        Some(s) => s
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| fail(&format!("--batch-size must be a positive integer, got {s:?}"))),
-        None => 32,
-    };
+    check_flags(&args[1..]);
     if let Some(s) = arg_value(&args, "--threads") {
         match s.parse::<usize>() {
             Ok(n) if n > 0 => dader_core::train::ParallelConfig::with_threads(n).apply(),
@@ -195,21 +195,20 @@ fn main() {
                 ))
             })
     });
-    let limits = ServeLimits {
-        max_line_bytes: positive("--max-line-bytes", 1 << 20),
-        read_timeout: Some(std::time::Duration::from_millis(
-            positive("--timeout-ms", 30_000) as u64,
-        )),
-        write_timeout: Some(std::time::Duration::from_millis(
-            positive("--timeout-ms", 30_000) as u64,
-        )),
-        default_deadline,
-    };
-    let max_conns = positive("--max-conns", 64);
-    let max_queue = positive("--max-queue", 256);
+    let timeout = std::time::Duration::from_millis(positive("--timeout-ms", 30_000) as u64);
     let flush_us = positive("--flush-us", 1_000) as u64;
-    let thread_per_conn = args.iter().any(|a| a == "--thread-per-conn");
-    let metrics_addr = arg_value(&args, "--metrics-addr");
+    let cfg = TcpServeConfig {
+        limits: ServeLimits {
+            max_line_bytes: positive("--max-line-bytes", 1 << 20),
+            read_timeout: Some(timeout),
+            write_timeout: Some(timeout),
+            default_deadline,
+        },
+        batch_size: positive("--batch-size", 32),
+        max_conns: positive("--max-conns", 64),
+        flush_us,
+        max_queue: positive("--max-queue", 256),
+    };
 
     // Tracing: `--trace FILE` wins, `DADER_TRACE=FILE` is the no-restart
     // env idiom. `--trace-sample N` records every Nth request (default 1:
@@ -222,45 +221,41 @@ fn main() {
         note!("dader-serve: tracing on (1 in {sample} requests sampled)");
     }
 
-    let index_path = arg_value(&args, "--index");
-
-    match arg_value(&args, "--listen") {
-        None => {
-            if index_path.is_some() {
-                fail("--index needs the TCP event loop: add --listen ADDR (and drop --thread-per-conn)");
-            }
-            let server = match MatchServer::from_artifact_file(&artifact) {
-                Ok(s) => s,
-                Err(e) => fail(&format!("cannot load artifact {artifact}: {e}")),
-            };
-            note!("dader-serve: loaded {artifact} ({})", server.description);
-            if let Some(addr) = &metrics_addr {
-                // No registry on the stdin path: /status reports process
-                // metrics without a model block.
-                spawn_metrics_endpoint(addr, None);
-            }
-            // Stdin has no socket timeouts; the line-size bound still
-            // applies.
-            let stdin_limits = ServeLimits {
-                read_timeout: None,
-                write_timeout: None,
-                ..limits
-            };
-            let stdin = std::io::stdin();
-            let mut stdout = BufWriter::new(std::io::stdout());
-            match server.handle_with_limits(stdin.lock(), &mut stdout, batch_size, &stdin_limits) {
-                Ok(n) => {
-                    note!("dader-serve: scored {n} pairs");
-                    // Shutdown summary: the full metrics dump, so a batch
-                    // invocation leaves its latency/error profile behind.
-                    note!("{}", dader_obs::render_prometheus().trim_end());
-                    if let Some(path) = &trace_path {
-                        export_trace(path);
-                    }
-                }
-                Err(e) => fail(&format!("stdin stream failed: {e}")),
-            }
+    // The registry is the hot-reload point for both transports.
+    let registry = match ModelRegistry::from_artifact_file(&artifact) {
+        Ok(r) => Arc::new(r),
+        Err(e) => fail(&format!("cannot load artifact {artifact}: {e}")),
+    };
+    note!(
+        "dader-serve: loaded {artifact} ({}), flush {flush_us}us",
+        registry.current().server.description
+    );
+    if let Some(path) = arg_value(&args, "--index") {
+        match registry.load_index_file(&path) {
+            Ok(stats) => note!(
+                "dader-serve: loaded index {path} ({} kind, {} records, {} tombstones, generation {})",
+                stats.kind,
+                stats.records,
+                stats.tombstones,
+                stats.generation
+            ),
+            Err(e) => fail(&format!("cannot load index {path}: {e}")),
         }
+    }
+    if let Some(addr) = arg_value(&args, "--metrics-addr") {
+        // Spawned with the registry so /status can name the serving
+        // model version across hot reloads. The bound address (port 0
+        // binds an ephemeral one) is announced for test harnesses.
+        match dader_bench::spawn_status_endpoint(&addr, Some(Arc::clone(&registry))) {
+            Ok(bound) => eprintln!("dader-serve: metrics on {bound}"),
+            Err(e) => fail(&format!("cannot bind metrics endpoint on {addr}: {e}")),
+        }
+    }
+
+    let served = match arg_value(&args, "--listen") {
+        // Stdin is one connection on the serving core; the timeouts and
+        // the connection cap apply to sockets only.
+        None => dader_bench::serve_stream(registry, std::io::stdin(), std::io::stdout(), cfg),
         Some(addr) => {
             let listener = std::net::TcpListener::bind(&addr)
                 .unwrap_or_else(|e| fail(&format!("cannot listen on {addr}: {e}")));
@@ -268,56 +263,19 @@ fn main() {
                 .local_addr()
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| addr.clone());
-            // Announced even under --quiet: harnesses need the ephemeral
-            // port, and connection errors stay on stderr regardless.
+            // Announced even under --quiet: harnesses need the ephemeral port, and
+            // connection errors stay on stderr regardless.
             eprintln!("dader-serve: listening on {bound}");
-            let cfg = TcpServeConfig {
-                limits,
-                batch_size,
-                max_conns,
-                flush_us,
-                max_queue,
-            };
-            // The registry is the hot-reload point; the legacy path has
-            // none (its model is fixed for the process lifetime).
-            let registry = if thread_per_conn {
-                if index_path.is_some() {
-                    fail("--index needs the event loop (drop --thread-per-conn)");
-                }
-                None
-            } else {
-                match ModelRegistry::from_artifact_file(&artifact) {
-                    Ok(r) => Some(Arc::new(r)),
-                    Err(e) => fail(&format!("cannot load artifact {artifact}: {e}")),
-                }
-            };
-            if let (Some(path), Some(reg)) = (&index_path, &registry) {
-                match reg.load_index_file(path) {
-                    Ok(stats) => note!(
-                        "dader-serve: loaded index {path} ({} kind, {} records, {} tombstones, generation {})",
-                        stats.kind,
-                        stats.records,
-                        stats.tombstones,
-                        stats.generation
-                    ),
-                    Err(e) => fail(&format!("cannot load index {path}: {e}")),
-                }
-            }
-            if let Some(addr) = &metrics_addr {
-                // Spawned with the registry so /status can name the
-                // serving model version across hot reloads.
-                spawn_metrics_endpoint(addr, registry.clone());
-            }
-            // Graceful shutdown: closing stdin (or sending a "shutdown"
-            // line) stops the accept loop; in-flight connections drain to
-            // completion before the process exits. `reload [path]` on the
-            // same stream hot-swaps the served artifact (event loop only).
+            // Graceful shutdown: closing stdin (or sending a "shutdown" line)
+            // stops the accept loop; in-flight connections drain to completion
+            // before the process exits. `reload [path]` on the same stream
+            // hot-swaps the served artifact.
             let stop = Arc::new(AtomicBool::new(false));
             install_signal_handlers();
             {
-                // Signal watcher: folds SIGTERM/SIGINT into the same stop
-                // flag the stdin controller uses, so both trigger the one
-                // graceful-drain path.
+                // Signal watcher: folds SIGTERM/SIGINT into the same stop flag the
+                // stdin controller uses, so both trigger the one graceful-drain
+                // path.
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || loop {
                     if SIGNALED.load(Ordering::Relaxed) {
@@ -333,7 +291,7 @@ fn main() {
             }
             {
                 let stop = Arc::clone(&stop);
-                let registry = registry.clone();
+                let registry = Arc::clone(&registry);
                 std::thread::spawn(move || {
                     for line in std::io::stdin().lock().lines() {
                         let Ok(line) = line else { break };
@@ -343,53 +301,36 @@ fn main() {
                         }
                         if let Some(rest) = line.strip_prefix("reload") {
                             let path = rest.trim();
-                            let path =
-                                (!path.is_empty()).then(|| std::path::PathBuf::from(path));
-                            match &registry {
-                                None => eprintln!(
-                                    "dader-serve: reload needs the event loop (drop --thread-per-conn)"
-                                ),
-                                Some(reg) => match reg.reload(path.as_deref()) {
-                                    Ok(v) => eprintln!("dader-serve: hot reload -> {v}"),
-                                    Err(e) => eprintln!("dader-serve: reload failed: {e}"),
-                                },
+                            let path = (!path.is_empty()).then(|| std::path::PathBuf::from(path));
+                            match registry.reload(path.as_deref()) {
+                                Ok(v) => eprintln!("dader-serve: hot reload -> {v}"),
+                                Err(e) => eprintln!("dader-serve: reload failed: {e}"),
                             }
                         }
                     }
                     stop.store(true, Ordering::Relaxed);
                 });
             }
-            let served = match registry {
-                Some(reg) => {
-                    note!(
-                        "dader-serve: loaded {artifact} ({}), event loop (flush {}us)",
-                        reg.current().server.description,
-                        flush_us
-                    );
-                    dader_bench::serve_event_loop(reg, listener, cfg, stop)
-                }
-                None => {
-                    let server = match MatchServer::from_artifact_file(&artifact) {
-                        Ok(s) => s,
-                        Err(e) => fail(&format!("cannot load artifact {artifact}: {e}")),
-                    };
-                    note!(
-                        "dader-serve: loaded {artifact} ({}), thread-per-conn",
-                        server.description
-                    );
-                    dader_bench::serve_tcp(Arc::new(server), listener, cfg, stop)
-                }
-            };
-            match served {
-                Ok(n) => {
-                    note!("dader-serve: drained; scored {n} pairs total");
-                    note!("{}", dader_obs::render_prometheus().trim_end());
-                    if let Some(path) = &trace_path {
-                        export_trace(path);
+            dader_bench::serve_event_loop(registry, listener, cfg, stop)
+        }
+    };
+    match served {
+        Ok(n) => {
+            note!("dader-serve: drained; scored {n} pairs total");
+            // Shutdown summary: the full metrics dump, so a batch
+            // invocation leaves its latency/error profile behind.
+            note!("{}", dader_obs::render_prometheus().trim_end());
+            // The sampled trace ring as Chrome `trace_event` JSON.
+            if let Some(path) = &trace_path {
+                match dader_obs::trace::write_chrome_trace_file(path) {
+                    Ok(n) => {
+                        let dropped = dader_obs::trace::dropped();
+                        note!("dader-serve: wrote {n} trace events to {path} ({dropped} evicted)");
                     }
+                    Err(e) => eprintln!("dader-serve: cannot write trace to {path}: {e}"),
                 }
-                Err(e) => fail(&format!("listener failed: {e}")),
             }
         }
+        Err(e) => fail(&format!("serving failed: {e}")),
     }
 }

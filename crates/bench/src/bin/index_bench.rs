@@ -119,8 +119,8 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out.expect("reps >= 1"))
 }
 
-/// Same tiny model recipe as `serve_bench`: the serve phase measures the
-/// index + batching path, not model quality.
+/// A tiny fixed-seed model: the serve phase measures the index +
+/// batching path, not model quality.
 fn bench_server() -> MatchServer {
     let vocab = Vocab::build(
         [

@@ -24,8 +24,8 @@ pub use report::{
 pub use scale::Scale;
 pub use serve::registry::{IndexStats, SharedIndex};
 pub use serve::{
-    latency_window_snapshot, serve_event_loop, serve_tcp, spawn_status_endpoint, ErrorCode,
-    MatchServer, ModelRegistry, ServeLimits, TcpServeConfig, VersionedModel,
+    serve_event_loop, serve_stream, spawn_status_endpoint, ErrorCode, MatchServer, ModelRegistry,
+    ServeLimits, TcpServeConfig, VersionedModel,
 };
 
 // Re-exported so the `note!`/`chat!` macros can reach the log gates from

@@ -14,11 +14,13 @@
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
 use std::time::Instant;
 
 use serde::Value;
 
-use super::{metrics, stamp_and_finalize, Timeline};
+use super::{error_body, metrics, stamp_and_finalize, ErrorCode, Timeline};
 
 /// One event out of the line assembler.
 pub(crate) enum LineEvent {
@@ -29,9 +31,8 @@ pub(crate) enum LineEvent {
 }
 
 /// Reassembles `\n`-terminated lines from arbitrary read chunks, never
-/// buffering more than `max` bytes per line — the nonblocking analogue of
-/// the blocking path's bounded `read_bounded_line` discipline. Oversized
-/// lines are dropped as they stream in and surface as one [`LineEvent::TooLong`].
+/// buffering more than `max` bytes per line. Oversized lines are dropped
+/// as they stream in and surface as one [`LineEvent::TooLong`].
 pub(crate) struct LineAssembler {
     buf: Vec<u8>,
     max: usize,
@@ -111,6 +112,37 @@ pub(crate) struct Completed {
     pub(crate) is_error: bool,
 }
 
+impl Completed {
+    /// A successful answer produced on the poller thread (no pairs
+    /// scored), tagged with the serving model `version`.
+    pub(crate) fn ok(timeline: Timeline, body: Vec<(String, Value)>, version: String) -> Completed {
+        Completed {
+            timeline,
+            body,
+            version: Some(version),
+            scored: 0,
+            is_error: false,
+        }
+    }
+
+    /// An error object no model produced. `lineno` names the request
+    /// line; `None` marks a stream-level condition.
+    pub(crate) fn error(
+        timeline: Timeline,
+        code: ErrorCode,
+        msg: &str,
+        lineno: Option<usize>,
+    ) -> Completed {
+        Completed {
+            timeline,
+            body: error_body(code, msg, lineno),
+            version: None,
+            scored: 0,
+            is_error: true,
+        }
+    }
+}
+
 /// Which timer fired (the deadline wheel tracks both per connection).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum DeadlineKind {
@@ -145,7 +177,8 @@ impl Deadlines {
     /// generation against the connection's current one (lazy deletion).
     pub(crate) fn expired(&mut self, now: Instant) -> Vec<(usize, u64, DeadlineKind)> {
         let mut due = Vec::new();
-        while let Some(std::cmp::Reverse((when, conn, generation, kind))) = self.heap.peek().copied()
+        while let Some(std::cmp::Reverse((when, conn, generation, kind))) =
+            self.heap.peek().copied()
         {
             if when > now {
                 break;
@@ -162,9 +195,46 @@ impl Deadlines {
     }
 }
 
+/// The socket under a connection: an accepted TCP client, or the core's
+/// end of the local socket pair that carries a piped stream
+/// ([`serve_stream`](super::serve_stream)).
+pub(crate) enum Stream {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Local(UnixStream),
+}
+
+impl Stream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.read(buf),
+            #[cfg(unix)]
+            Stream::Local(s) => s.read(buf),
+        }
+    }
+
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Stream::Local(s) => s.write(buf),
+        }
+    }
+}
+
+#[cfg(unix)]
+impl std::os::fd::AsRawFd for Stream {
+    fn as_raw_fd(&self) -> std::os::fd::RawFd {
+        match self {
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Local(s) => s.as_raw_fd(),
+        }
+    }
+}
+
 /// One client connection owned by the event loop.
 pub(crate) struct Conn {
-    pub(crate) stream: TcpStream,
+    pub(crate) stream: Stream,
     pub(crate) assembler: LineAssembler,
     /// 1-based input line counter (error objects name lines).
     pub(crate) lineno: usize,
@@ -186,6 +256,14 @@ pub(crate) struct Conn {
     pub(crate) closing: bool,
     /// True for over-cap reject connections (not counted against the cap).
     pub(crate) rejected: bool,
+    /// The connection carries a piped stream
+    /// ([`serve_stream`](super::serve_stream)), not a TCP client. A piped
+    /// stream has no one to retry, so a request read while the admission
+    /// queue is full is queued rather than shed (reads still pause at the
+    /// watermark, so at most one read's lines pass the cap). Nothing times
+    /// out a stalled reader of its answers either, so its reads wait while
+    /// answers are unsent, which keeps memory bounded.
+    pub(crate) piped: bool,
     /// Read-timer generation: bumped on every complete line, invalidating
     /// previously armed read deadlines.
     pub(crate) read_gen: u64,
@@ -197,8 +275,9 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, max_line_bytes: usize) -> Conn {
+    pub(crate) fn new(stream: Stream, max_line_bytes: usize) -> Conn {
         Conn {
+            piped: !matches!(stream, Stream::Tcp(_)),
             stream,
             assembler: LineAssembler::new(max_line_bytes),
             lineno: 0,

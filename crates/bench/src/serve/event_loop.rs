@@ -1,6 +1,6 @@
-//! The nonblocking serving core: one poller thread owning every client
-//! socket, pooling parsed requests from all connections into shared
-//! inference batches.
+//! The serving core: one poller thread owning every client socket,
+//! pooling parsed requests from all connections into shared inference
+//! batches.
 //!
 //! Each pass drains finished batches, accepts, reads every readable
 //! socket through the bounded [`LineAssembler`], fires due read/write
@@ -12,8 +12,11 @@
 //! CPU, and a request is never held by a timer tick: an idle scorer gets
 //! it at once, and its answer is written as soon as the batch lands.
 //!
-//! What this buys over the legacy thread-per-connection
-//! [`serve_tcp`](super::serve_tcp):
+//! Every transport runs this one loop. [`serve_event_loop`] accepts TCP
+//! clients; [`serve_stream`] hands it a single pre-accepted connection —
+//! one end of a local socket pair that two pump threads feed from a byte
+//! stream (`dader-serve`'s stdin) and copy back out — and no listener.
+//! Either way the loop gives:
 //!
 //! * **Cross-connection batching** — 64 clients sending one request each
 //!   fill one 64-wide GEMM instead of 64 one-row passes.
@@ -26,8 +29,12 @@
 //!   every response names the model `version` that scored it.
 
 use std::collections::HashMap;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read, Write};
+#[cfg(unix)]
+use std::net::Shutdown;
 use std::net::TcpListener;
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -38,12 +45,12 @@ use serde::Value;
 
 use super::admission::{self, Admission};
 use super::batch::{spawn_inference_worker, BatchJob, Batcher, WorkItem, WorkKind};
-use super::conn::{Completed, Conn, DeadlineKind, Deadlines, LineEvent};
+use super::conn::{Completed, Conn, DeadlineKind, Deadlines, LineEvent, Stream};
 use super::poll::Poller;
 use super::registry::ModelRegistry;
 use super::{
-    error_body, metrics, next_rid, parse_request, status, ErrorCode, Parsed, TcpServeConfig,
-    Timeline,
+    error_body, metrics, next_rid, parse_request, status, ErrorCode, Parsed, ReloadTarget,
+    TcpServeConfig, Timeline,
 };
 
 /// Longest single wait. Nothing signals a raised `stop` flag, so this
@@ -54,10 +61,9 @@ const STOP_POLL: Duration = Duration::from_millis(100);
 /// requests from all connections into shared inference batches. A batch
 /// goes out at once while the scorer is idle; while it is busy, requests
 /// are held until `cfg.batch_size` fill a batch or the oldest has waited
-/// `cfg.flush_us`. On `stop`
-/// the listener stops accepting and open connections keep being served
-/// until each client hangs up — the same graceful-drain contract as the
-/// legacy server. Returns the total number of pairs scored.
+/// `cfg.flush_us`. On `stop` the listener stops accepting and open
+/// connections keep being served until each client hangs up (graceful
+/// drain). Returns the total number of pairs scored.
 ///
 /// Connections beyond `cfg.max_conns` get one `overloaded` error object
 /// enqueued on their (nonblocking) socket and are closed; far beyond it
@@ -69,8 +75,104 @@ pub fn serve_event_loop(
     cfg: TcpServeConfig,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<usize> {
-    assert!(cfg.batch_size > 0, "batch size must be positive");
     listener.set_nonblocking(true)?;
+    run(registry, Some(listener), None, cfg, &stop)
+}
+
+/// Serve one byte stream — request lines from `input`, response lines to
+/// `output`, in input order — through the same core as
+/// [`serve_event_loop`]: the stream becomes a single pre-accepted
+/// connection on a local socket pair, and no listener is opened. This is
+/// `dader-serve`'s stdin mode and the in-process entry point. Returns
+/// the pairs scored once `input` hits EOF and every line is answered.
+///
+/// The stream has no read or write timeouts and is never shed: a piped
+/// file has no one to retry, so lines read past `cfg.max_queue` are
+/// queued, and memory stays bounded because reads still pause at that
+/// watermark and while answers wait on a slow `output`. A failed write to
+/// `output` (a closed stdout, say) ends the stream and is returned as the
+/// error; so is a failed read of `input`.
+///
+/// `input` is copied in on a detached thread, so a caller whose output
+/// fails is not held up by an input that never ends.
+#[cfg(unix)]
+pub fn serve_stream<R, W>(
+    registry: Arc<ModelRegistry>,
+    input: R,
+    output: W,
+    mut cfg: TcpServeConfig,
+) -> std::io::Result<usize>
+where
+    R: Read + Send + 'static,
+    W: Write + Send,
+{
+    let (core_end, pump_end) = UnixStream::pair()?;
+    core_end.set_nonblocking(true)?;
+    let mut to_core = pump_end.try_clone()?;
+    let input_pump = std::thread::spawn(move || {
+        let mut input = input;
+        let copied = std::io::copy(&mut input, &mut to_core);
+        // EOF (or a failed read) ends the request stream.
+        let _ = to_core.shutdown(Shutdown::Write);
+        copied
+    });
+    cfg.limits.read_timeout = None;
+    cfg.limits.write_timeout = None;
+    std::thread::scope(|s| {
+        let output_pump = s.spawn(move || pump_output(pump_end, output));
+        let stream = Some(Stream::Local(core_end));
+        let scored = run(registry, None, stream, cfg, &AtomicBool::new(false));
+        let pumped = output_pump.join().expect("output pump panicked");
+        let scored = scored?;
+        pumped?;
+        // The connection ended at the input's EOF, so the pump is done.
+        input_pump.join().expect("input pump panicked")?;
+        Ok(scored)
+    })
+}
+
+/// Stand-in off Unix, where std has no socket pair: serve over
+/// [`serve_event_loop`] instead.
+#[cfg(not(unix))]
+pub fn serve_stream<R, W>(
+    _registry: Arc<ModelRegistry>,
+    _input: R,
+    _output: W,
+    _cfg: TcpServeConfig,
+) -> std::io::Result<usize>
+where
+    R: Read + Send + 'static,
+    W: Write + Send,
+{
+    Err(std::io::Error::new(
+        ErrorKind::Unsupported,
+        "stream serving needs Unix domain sockets; serve over TCP instead",
+    ))
+}
+
+/// Copy the core's responses to `output` until the core closes its end.
+/// When the copy fails (say, `output` is a closed stdout), the socket is
+/// shut down both ways so the core drops the connection and returns.
+#[cfg(unix)]
+fn pump_output(from_core: UnixStream, mut output: impl Write) -> std::io::Result<()> {
+    let copied = std::io::copy(&mut &from_core, &mut output).and_then(|_| output.flush());
+    if copied.is_err() {
+        let _ = from_core.shutdown(Shutdown::Both);
+    }
+    copied
+}
+
+/// The loop behind both entry points. With a `listener` it accepts until
+/// `stop`; with none it serves the `preaccepted` connection and returns
+/// once that connection is done.
+fn run(
+    registry: Arc<ModelRegistry>,
+    listener: Option<TcpListener>,
+    preaccepted: Option<Stream>,
+    cfg: TcpServeConfig,
+    stop: &AtomicBool,
+) -> std::io::Result<usize> {
+    assert!(cfg.batch_size > 0, "batch size must be positive");
     let (job_tx, job_rx) = mpsc::channel::<BatchJob>();
     let (done_tx, done_rx) = mpsc::channel();
     let mut poller = Poller::new()?;
@@ -81,8 +183,11 @@ pub fn serve_event_loop(
     let mut admission = Admission::new(cfg.max_queue);
 
     let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut next_conn_id = 0usize;
-    let mut serving = 0usize; // non-rejected connections, vs cfg.max_conns
+    if let Some(stream) = preaccepted {
+        conns.insert(0, Conn::new(stream, cfg.limits.max_line_bytes));
+    }
+    let mut next_conn_id = conns.len();
+    let mut serving = conns.len(); // non-rejected connections, vs cfg.max_conns
     let mut batcher = Batcher::new(cfg.batch_size, cfg.flush_us);
     let mut deadlines = Deadlines::new();
     let mut jobs_in_flight = 0usize;
@@ -101,16 +206,14 @@ pub fn serve_event_loop(
                 // The connection may be gone (write timeout dropped it);
                 // its responses die quietly with it.
                 if let Some(c) = conns.get_mut(&d.conn) {
-                    c.complete(
-                        d.seq,
-                        Completed {
-                            timeline: d.timeline,
-                            body: d.body,
-                            version: Some(d.version),
-                            scored: d.scored,
-                            is_error: d.is_error,
-                        },
-                    );
+                    let done = Completed {
+                        timeline: d.timeline,
+                        body: d.body,
+                        version: Some(d.version),
+                        scored: d.scored,
+                        is_error: d.is_error,
+                    };
+                    c.complete(d.seq, done);
                 }
             }
         }
@@ -136,7 +239,7 @@ pub fn serve_event_loop(
         // A failing accept (say, out of descriptors) leaves the listener
         // readable; it sits out the next wait so the loop cannot spin on it.
         let mut accept_failed = false;
-        if !draining {
+        if let Some(listener) = listener.as_ref().filter(|_| !draining) {
             loop {
                 match listener.accept() {
                     Ok((sock, peer)) => {
@@ -157,7 +260,7 @@ pub fn serve_event_loop(
                                 continue;
                             }
                             metrics().errors.inc();
-                            let mut c = Conn::new(sock, cfg.limits.max_line_bytes);
+                            let mut c = Conn::new(Stream::Tcp(sock), cfg.limits.max_line_bytes);
                             c.rejected = true;
                             c.closing = true;
                             let mut kvs = error_body(
@@ -176,7 +279,7 @@ pub fn serve_event_loop(
                             continue;
                         }
                         serving += 1;
-                        let c = Conn::new(sock, cfg.limits.max_line_bytes);
+                        let c = Conn::new(Stream::Tcp(sock), cfg.limits.max_line_bytes);
                         if let Some(rt) = cfg.limits.read_timeout {
                             deadlines.arm(now + rt, id, c.read_gen, DeadlineKind::Read);
                         }
@@ -219,283 +322,54 @@ pub fn serve_event_loop(
                 c.lineno += 1;
                 let lineno = c.lineno;
                 let arrival = Instant::now();
-                match ev {
-                    LineEvent::TooLong => {
-                        let seq = c.alloc_seq();
-                        c.complete(
-                            seq,
-                            Completed {
-                                timeline: Timeline::start(arrival),
-                                body: error_body(
-                                    ErrorCode::LineTooLong,
-                                    &format!(
-                                        "line {lineno}: request exceeds {} bytes",
-                                        cfg.limits.max_line_bytes
-                                    ),
-                                    Some(lineno),
-                                ),
-                                version: None,
-                                scored: 0,
-                                is_error: true,
-                            },
-                        );
+                let parsed = match ev {
+                    LineEvent::Line(line) if line.trim().is_empty() => continue,
+                    LineEvent::Line(line) => parse_request(&line, lineno),
+                    LineEvent::TooLong => Parsed::Err(
+                        ErrorCode::LineTooLong,
+                        format!(
+                            "line {lineno}: request exceeds {} bytes",
+                            cfg.limits.max_line_bytes
+                        ),
+                    ),
+                };
+                let mut timeline = Timeline::start(arrival);
+                timeline.want_timings = parsed.wants_timings();
+                timeline.deadline = admission::resolve_deadline(
+                    arrival,
+                    parsed.deadline_ms(),
+                    cfg.limits.default_deadline,
+                );
+                let seq = c.alloc_seq();
+                let kind = match parsed {
+                    Parsed::Ok(req) => WorkKind::Pair {
+                        id: req.id,
+                        a: req.a,
+                        b: req.b,
+                    },
+                    Parsed::Table(req) => WorkKind::Table(req),
+                    Parsed::Record(req) => WorkKind::Record(req),
+                    other => {
+                        c.complete(seq, answer_inline(&registry, other, timeline, lineno));
+                        continue;
                     }
-                    LineEvent::Line(line) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        let parsed = parse_request(&line, lineno);
-                        let mut timeline = Timeline::start(arrival);
-                        timeline.want_timings = parsed.wants_timings();
-                        match parsed {
-                            parsed @ (Parsed::Ok(_) | Parsed::Table(_) | Parsed::Record(_)) => {
-                                let seq = c.alloc_seq();
-                                // One read pass can assemble many lines
-                                // after the watermark check — those over
-                                // the cap are shed, never queued.
-                                if admission.must_shed(batcher.len()) {
-                                    admission::count_shed("queue_full");
-                                    c.complete(
-                                        seq,
-                                        Completed {
-                                            timeline,
-                                            body: error_body(
-                                                ErrorCode::Overloaded,
-                                                &format!(
-                                                    "server queue full ({}); retry later",
-                                                    cfg.max_queue
-                                                ),
-                                                Some(lineno),
-                                            ),
-                                            version: None,
-                                            scored: 0,
-                                            is_error: true,
-                                        },
-                                    );
-                                } else {
-                                    timeline.deadline = admission::resolve_deadline(
-                                        arrival,
-                                        parsed.deadline_ms(),
-                                        cfg.limits.default_deadline,
-                                    );
-                                    let kind = match parsed {
-                                        Parsed::Ok(req) => WorkKind::Pair {
-                                            id: req.id,
-                                            a: req.a,
-                                            b: req.b,
-                                        },
-                                        Parsed::Table(req) => WorkKind::Table(req),
-                                        Parsed::Record(req) => WorkKind::Record(req),
-                                        _ => unreachable!("guarded by the arm pattern"),
-                                    };
-                                    batcher.push(WorkItem {
-                                        conn: id,
-                                        seq,
-                                        timeline,
-                                        kind,
-                                    });
-                                }
-                            }
-                            Parsed::IndexUpsert {
-                                id: req_id,
-                                record_id,
-                                record,
-                            } => {
-                                // Mutations answer inline on the poller:
-                                // the write lock is held only for the
-                                // O(record) slot append, and the bumped
-                                // generation is echoed so the client can
-                                // correlate later probes.
-                                let seq = c.alloc_seq();
-                                let done = match registry.index() {
-                                    Some(idx) => {
-                                        let (replaced, generation, records) =
-                                            idx.upsert(dader_datagen::Entity {
-                                                id: record_id.clone(),
-                                                attrs: record,
-                                            });
-                                        let mut body = Vec::with_capacity(5);
-                                        if let Some(v) = req_id {
-                                            body.push(("id".to_string(), v));
-                                        }
-                                        body.push((
-                                            "upserted".to_string(),
-                                            Value::String(record_id),
-                                        ));
-                                        body.push(("replaced".to_string(), Value::Bool(replaced)));
-                                        body.push((
-                                            "records".to_string(),
-                                            Value::Int(records as i64),
-                                        ));
-                                        body.push((
-                                            "generation".to_string(),
-                                            Value::Int(generation as i64),
-                                        ));
-                                        Completed {
-                                            timeline,
-                                            body,
-                                            version: Some(registry.version()),
-                                            scored: 0,
-                                            is_error: false,
-                                        }
-                                    }
-                                    None => Completed {
-                                        timeline,
-                                        body: error_body(
-                                            ErrorCode::InvalidRequest,
-                                            &format!(
-                                                "line {lineno}: no index loaded; start \
-                                                 dader-serve with --index or reload one"
-                                            ),
-                                            Some(lineno),
-                                        ),
-                                        version: None,
-                                        scored: 0,
-                                        is_error: true,
-                                    },
-                                };
-                                c.complete(seq, done);
-                            }
-                            Parsed::IndexDelete {
-                                id: req_id,
-                                record_id,
-                            } => {
-                                let seq = c.alloc_seq();
-                                let done = match registry.index() {
-                                    Some(idx) => {
-                                        let (deleted, generation, records) = idx.delete(&record_id);
-                                        let mut body = Vec::with_capacity(5);
-                                        if let Some(v) = req_id {
-                                            body.push(("id".to_string(), v));
-                                        }
-                                        body.push(("deleted".to_string(), Value::Bool(deleted)));
-                                        body.push((
-                                            "record_id".to_string(),
-                                            Value::String(record_id),
-                                        ));
-                                        body.push((
-                                            "records".to_string(),
-                                            Value::Int(records as i64),
-                                        ));
-                                        body.push((
-                                            "generation".to_string(),
-                                            Value::Int(generation as i64),
-                                        ));
-                                        Completed {
-                                            timeline,
-                                            body,
-                                            version: Some(registry.version()),
-                                            scored: 0,
-                                            is_error: false,
-                                        }
-                                    }
-                                    None => Completed {
-                                        timeline,
-                                        body: error_body(
-                                            ErrorCode::InvalidRequest,
-                                            &format!(
-                                                "line {lineno}: no index loaded; start \
-                                                 dader-serve with --index or reload one"
-                                            ),
-                                            Some(lineno),
-                                        ),
-                                        version: None,
-                                        scored: 0,
-                                        is_error: true,
-                                    },
-                                };
-                                c.complete(seq, done);
-                            }
-                            Parsed::Reload(target) => {
-                                // Swap happens inline: the new artifact
-                                // loads before any further intake, and
-                                // in-flight batches keep their snapshot.
-                                let seq = c.alloc_seq();
-                                let outcome = match target {
-                                    super::ReloadTarget::Model(path) => registry
-                                        .reload(path.as_deref().map(Path::new))
-                                        .map(|version| {
-                                            crate::note!("dader-serve: hot reload -> {version}");
-                                            vec![("reloaded".to_string(), Value::Bool(true))]
-                                        }),
-                                    super::ReloadTarget::Index(path) => registry
-                                        .reload_index(path.as_deref().map(Path::new))
-                                        .map(|stats| {
-                                            crate::note!(
-                                                "dader-serve: index reload -> {} records, \
-                                                 generation {}",
-                                                stats.records,
-                                                stats.generation
-                                            );
-                                            vec![
-                                                ("reloaded".to_string(), Value::Bool(true)),
-                                                (
-                                                    "index_records".to_string(),
-                                                    Value::Int(stats.records as i64),
-                                                ),
-                                                (
-                                                    "generation".to_string(),
-                                                    Value::Int(stats.generation as i64),
-                                                ),
-                                            ]
-                                        }),
-                                };
-                                let done = match outcome {
-                                    Ok(body) => Completed {
-                                        timeline,
-                                        body,
-                                        version: Some(registry.version()),
-                                        scored: 0,
-                                        is_error: false,
-                                    },
-                                    Err(msg) => Completed {
-                                        timeline,
-                                        body: error_body(
-                                            ErrorCode::Internal,
-                                            &format!("line {lineno}: reload failed: {msg}"),
-                                            Some(lineno),
-                                        ),
-                                        version: None,
-                                        scored: 0,
-                                        is_error: true,
-                                    },
-                                };
-                                c.complete(seq, done);
-                            }
-                            Parsed::Status => {
-                                // Answered inline from the live metrics:
-                                // a status probe never waits on a batch.
-                                let seq = c.alloc_seq();
-                                let current = registry.current();
-                                c.complete(
-                                    seq,
-                                    Completed {
-                                        timeline,
-                                        body: vec![(
-                                            "status".to_string(),
-                                            status::status_snapshot(Some(&registry)),
-                                        )],
-                                        version: Some(current.version.clone()),
-                                        scored: 0,
-                                        is_error: false,
-                                    },
-                                );
-                            }
-                            Parsed::Err(code, msg) => {
-                                let seq = c.alloc_seq();
-                                c.complete(
-                                    seq,
-                                    Completed {
-                                        timeline,
-                                        body: error_body(code, &msg, Some(lineno)),
-                                        version: None,
-                                        scored: 0,
-                                        is_error: true,
-                                    },
-                                );
-                            }
-                        }
-                    }
+                };
+                // One read pass can assemble many lines after the
+                // watermark check; on a TCP connection those over the cap
+                // are answered `overloaded`, never queued.
+                if !c.piped && admission.must_shed(batcher.len()) {
+                    admission::count_shed("queue_full");
+                    let msg = format!("server queue full ({}); retry later", cfg.max_queue);
+                    let done =
+                        Completed::error(timeline, ErrorCode::Overloaded, &msg, Some(lineno));
+                    c.complete(seq, done);
+                } else {
+                    batcher.push(WorkItem {
+                        conn: id,
+                        seq,
+                        timeline,
+                        kind,
+                    });
                 }
             }
             // Activity rearms the idle clock (one wheel entry per
@@ -523,25 +397,14 @@ pub fn serve_event_loop(
                     let seq = c.alloc_seq();
                     // Queued as the connection's final seq: everything
                     // already pending answers first, then the timeout
-                    // notice, then close — same order the blocking path
-                    // guarantees.
-                    c.complete(
-                        seq,
-                        Completed {
-                            timeline: Timeline::start(now),
-                            body: error_body(
-                                ErrorCode::Timeout,
-                                &format!(
-                                    "read timed out after {:?} idle; closing connection",
-                                    cfg.limits.read_timeout.unwrap_or_default()
-                                ),
-                                None,
-                            ),
-                            version: None,
-                            scored: 0,
-                            is_error: true,
-                        },
+                    // notice, then close.
+                    let msg = format!(
+                        "read timed out after {:?} idle; closing connection",
+                        cfg.limits.read_timeout.unwrap_or_default()
                     );
+                    let done =
+                        Completed::error(Timeline::start(now), ErrorCode::Timeout, &msg, None);
+                    c.complete(seq, done);
                     c.closing = true;
                 }
                 DeadlineKind::Write => {
@@ -587,19 +450,10 @@ pub fn serve_event_loop(
                 // inside it). Answer inline so no request hangs forever.
                 for w in job.items {
                     if let Some(c) = conns.get_mut(&w.conn) {
+                        let msg = "inference worker unavailable; retry";
                         c.complete(
                             w.seq,
-                            Completed {
-                                timeline: w.timeline,
-                                body: error_body(
-                                    ErrorCode::Internal,
-                                    "inference worker unavailable; retry",
-                                    None,
-                                ),
-                                version: None,
-                                scored: 0,
-                                is_error: true,
-                            },
+                            Completed::error(w.timeline, ErrorCode::Internal, msg, None),
                         );
                     }
                 }
@@ -652,8 +506,10 @@ pub fn serve_event_loop(
         }
         metrics().conns_live.set(serving as f64);
 
-        // 8. Exit once draining and truly empty.
-        if draining && conns.is_empty() && batcher.is_empty() && jobs_in_flight == 0 {
+        // 8. Exit once no connection can arrive (draining, or no
+        // listener) and the loop is truly empty.
+        let accepting = listener.is_some() && !draining;
+        if !accepting && conns.is_empty() && batcher.is_empty() && jobs_in_flight == 0 {
             break;
         }
 
@@ -662,11 +518,13 @@ pub fn serve_event_loop(
         // byte) or the next due timer. Sockets are watched for reading
         // only below the admission high-water mark (`cfg.max_queue`);
         // above it TCP backpressure does the flow control, and reads
-        // resume below the low-water mark.
+        // resume below the low-water mark. A piped stream is not read
+        // while its answers are unsent (`stalled`).
         let reads_allowed = admission.reads_allowed(batcher.len());
-        poller.begin((!draining && !accept_failed).then_some(&listener));
+        poller.begin(listener.as_ref().filter(|_| accepting && !accept_failed));
         for (&id, c) in &conns {
-            let read = reads_allowed && !c.closing && !c.read_closed;
+            let stalled = c.piped && c.has_output();
+            let read = reads_allowed && !c.closing && !c.read_closed && !stalled;
             poller.watch(id, &c.stream, read, c.has_output());
         }
         let now = Instant::now();
@@ -686,4 +544,116 @@ pub fn serve_event_loop(
         metrics().worker_panics.inc();
     }
     Ok(scored_total)
+}
+
+/// Answer a request that never waits on a batch, on the poller thread:
+/// index mutations, reloads, status probes and parse errors.
+fn answer_inline(
+    registry: &Arc<ModelRegistry>,
+    parsed: Parsed,
+    timeline: Timeline,
+    lineno: usize,
+) -> Completed {
+    let with_id = |id: Option<Value>, fields: Vec<(&str, Value)>| -> Vec<(String, Value)> {
+        id.map(|v| ("id".to_string(), v))
+            .into_iter()
+            .chain(fields.into_iter().map(|(k, v)| (k.to_string(), v)))
+            .collect()
+    };
+    let no_index = || {
+        let msg =
+            format!("line {lineno}: no index loaded; start dader-serve with --index or reload one");
+        Completed::error(timeline, ErrorCode::InvalidRequest, &msg, Some(lineno))
+    };
+    match parsed {
+        // Mutations hold the index write lock only for the O(record)
+        // slot append, and echo the bumped generation so the client can
+        // correlate later probes.
+        Parsed::IndexUpsert {
+            id,
+            record_id,
+            record,
+        } => {
+            let Some(index) = registry.index() else {
+                return no_index();
+            };
+            let (replaced, generation, records) = index.upsert(dader_datagen::Entity {
+                id: record_id.clone(),
+                attrs: record,
+            });
+            let body = with_id(
+                id,
+                vec![
+                    ("upserted", Value::String(record_id)),
+                    ("replaced", Value::Bool(replaced)),
+                    ("records", Value::Int(records as i64)),
+                    ("generation", Value::Int(generation as i64)),
+                ],
+            );
+            Completed::ok(timeline, body, registry.version())
+        }
+        Parsed::IndexDelete { id, record_id } => {
+            let Some(index) = registry.index() else {
+                return no_index();
+            };
+            let (deleted, generation, records) = index.delete(&record_id);
+            let body = with_id(
+                id,
+                vec![
+                    ("deleted", Value::Bool(deleted)),
+                    ("record_id", Value::String(record_id)),
+                    ("records", Value::Int(records as i64)),
+                    ("generation", Value::Int(generation as i64)),
+                ],
+            );
+            Completed::ok(timeline, body, registry.version())
+        }
+        // The swap happens inline: the new artifact loads before any
+        // further intake, and in-flight batches keep their snapshot.
+        Parsed::Reload(target) => {
+            let outcome =
+                match target {
+                    ReloadTarget::Model(path) => registry
+                        .reload(path.as_deref().map(Path::new))
+                        .map(|version| {
+                            crate::note!("dader-serve: hot reload -> {version}");
+                            vec![("reloaded", Value::Bool(true))]
+                        }),
+                    ReloadTarget::Index(path) => registry
+                        .reload_index(path.as_deref().map(Path::new))
+                        .map(|stats| {
+                            crate::note!(
+                                "dader-serve: index reload -> {} records, generation {}",
+                                stats.records,
+                                stats.generation
+                            );
+                            vec![
+                                ("reloaded", Value::Bool(true)),
+                                ("index_records", Value::Int(stats.records as i64)),
+                                ("generation", Value::Int(stats.generation as i64)),
+                            ]
+                        }),
+                };
+            match outcome {
+                Ok(fields) => Completed::ok(timeline, with_id(None, fields), registry.version()),
+                Err(msg) => {
+                    let msg = format!("line {lineno}: reload failed: {msg}");
+                    Completed::error(timeline, ErrorCode::Internal, &msg, Some(lineno))
+                }
+            }
+        }
+        // Answered from the live metrics: a status probe never waits on
+        // a batch.
+        Parsed::Status => {
+            let body = vec![(
+                "status".to_string(),
+                status::status_snapshot(Some(registry)),
+            )];
+            Completed::ok(timeline, body, registry.version())
+        }
+        Parsed::Err(code, msg) => Completed::error(timeline, code, &msg, Some(lineno)),
+        Parsed::Ok(_) | Parsed::Table(_) | Parsed::Record(_) => {
+            unreachable!("batched requests are queued, not answered inline")
+        }
+    }
 }

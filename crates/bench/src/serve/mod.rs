@@ -43,9 +43,14 @@
 //! taxonomy — `invalid_json`, `invalid_request`, `line_too_long`,
 //! `timeout`, `overloaded`, `internal` — plus a `retryable` flag
 //! (see [`ErrorCode`]). Stream-level conditions (`timeout`, `overloaded`)
-//! omit `line`. Input lines are read through a bounded reader
+//! omit `line`. Input lines are framed by a bounded assembler
 //! ([`ServeLimits::max_line_bytes`]): an oversized line is drained and
 //! answered with `line_too_long` rather than buffered without limit.
+//!
+//! One serving core answers every transport: [`serve_event_loop`] for
+//! TCP clients and [`serve_stream`] for a single piped stream (the
+//! `dader-serve` stdin mode), which rides the same loop as one
+//! pre-accepted connection.
 //!
 //! Every response (success or error) additionally carries `rid` — a
 //! monotonically increasing server-side request id, unique across
@@ -63,14 +68,13 @@ mod poll;
 pub mod registry;
 pub mod status;
 
-pub use event_loop::serve_event_loop;
+pub use event_loop::{serve_event_loop, serve_stream};
 pub use registry::{ModelRegistry, VersionedModel};
 pub use status::spawn_status_endpoint;
 
-use std::io::{BufRead, ErrorKind, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use dader_core::artifact::{ArtifactError, ModelArtifact};
@@ -182,13 +186,6 @@ pub(crate) fn metrics() -> &'static ServeMetrics {
     })
 }
 
-/// Snapshot of the sliding-window request-latency SLO (p50/p99 and rate
-/// over the last [`WINDOW_SECS`] seconds). Public so benchmarks can record
-/// the same windowed quantiles the `/status` endpoint reports.
-pub fn latency_window_snapshot() -> dader_obs::window::WindowSnapshot {
-    metrics().latency_window.snapshot()
-}
-
 /// Count one batch flush under its trigger
 /// (`serve_flush_reason_total{reason=…}`).
 pub(crate) fn count_flush(reason: batch::FlushReason) {
@@ -286,9 +283,8 @@ fn version_generation(version: Option<&str>) -> u64 {
 /// Finish one response: claim its `rid`, observe the lifetime and
 /// windowed latency histograms, append the `timings` breakdown when the
 /// client asked for one, emit this request's trace spans (the rid exists
-/// only from here on), and serialize the response line. Shared by the
-/// event loop's ordered drain and the blocking stdin/legacy path, so both
-/// serving cores report identical envelopes.
+/// only from here on), and serialize the response line. Called from each
+/// connection's ordered drain.
 pub(crate) fn stamp_and_finalize(
     mut body: Vec<(String, Value)>,
     timeline: &Timeline,
@@ -511,7 +507,7 @@ pub(crate) enum Parsed {
     Ok(PairRequest),
     Table(Box<TableRequest>),
     /// `{"mode": "match_record"}` — top-k matches for one record against
-    /// the loaded index. Event-loop only (needs the shared index).
+    /// the loaded index (answered with a typed error when none is loaded).
     Record(Box<RecordRequest>),
     /// `{"mode": "index_upsert"}` — insert or overwrite one corpus record
     /// in the live index. Answered inline on the event loop.
@@ -526,9 +522,7 @@ pub(crate) enum Parsed {
         record_id: String,
     },
     /// `{"mode": "reload"}` — swap the served artifact or the corpus
-    /// index (see [`ReloadTarget`]). Only meaningful where a
-    /// [`ModelRegistry`] is serving (the TCP event loop); the stdin path
-    /// answers it with an `invalid_request` error.
+    /// index (see [`ReloadTarget`]) in the serving [`ModelRegistry`].
     Reload(ReloadTarget),
     /// `{"mode": "status"}` — answer with the live status snapshot
     /// (uptime, connections, queue depth, windowed latency, model
@@ -575,70 +569,7 @@ fn deadline_field(v: &Value, lineno: usize) -> Result<Option<u64>, String> {
     }
 }
 
-/// One bounded read from the input stream.
-enum LineRead {
-    /// A complete line within the limit (without the trailing newline).
-    Line(String),
-    /// A line that exceeded the limit; its bytes were consumed and
-    /// discarded up to (and including) the next newline or EOF.
-    TooLong,
-    /// End of stream.
-    Eof,
-    /// The socket read timed out (TCP read-timeout expired).
-    TimedOut,
-}
-
-/// Read one `\n`-terminated line, never buffering more than `max` bytes.
-/// The unbounded alternative (`BufRead::lines`) lets a single client grow
-/// the server's memory without limit; this reader instead drains oversized
-/// lines and reports them as [`LineRead::TooLong`].
-fn read_bounded_line<R: BufRead>(input: &mut R, max: usize) -> std::io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut overflowed = false;
-    loop {
-        let available = match input.fill_buf() {
-            Ok(b) => b,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return Ok(LineRead::TimedOut);
-            }
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            // EOF. A partial final line still counts as a line.
-            return Ok(if overflowed {
-                LineRead::TooLong
-            } else if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
-        let newline = available.iter().position(|&b| b == b'\n');
-        let take = newline.map(|p| p + 1).unwrap_or(available.len());
-        if !overflowed {
-            let line_part = &available[..newline.unwrap_or(take)];
-            if buf.len() + line_part.len() > max {
-                overflowed = true;
-                buf.clear();
-            } else {
-                buf.extend_from_slice(line_part);
-            }
-        }
-        input.consume(take);
-        if newline.is_some() {
-            return Ok(if overflowed {
-                LineRead::TooLong
-            } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
-    }
-}
-
-/// Response body for one scored pair. Shared verbatim by the stdin path,
-/// the legacy thread-per-connection path and the event-loop batch worker,
-/// so cross-connection batching cannot drift from per-connection serving.
+/// Response body for one scored pair.
 pub(crate) fn pair_body(id: Option<Value>, label: usize, prob: f32) -> Vec<(String, Value)> {
     let mut kvs = Vec::with_capacity(6);
     if let Some(id) = id {
@@ -856,268 +787,6 @@ impl MatchServer {
             batch_size,
             threshold,
         )
-    }
-
-    /// Serve every line of `input` with default [`ServeLimits`], writing
-    /// one response line per request to `output` in input order. Requests
-    /// are scored in batches of up to `batch_size`; malformed lines yield
-    /// error objects and never abort the stream. Returns the number of
-    /// successfully scored pairs.
-    pub fn handle<R: BufRead, W: Write>(
-        &self,
-        input: R,
-        output: &mut W,
-        batch_size: usize,
-    ) -> std::io::Result<usize> {
-        self.handle_with_limits(input, output, batch_size, &ServeLimits::default())
-    }
-
-    /// [`handle`](MatchServer::handle) with explicit limits. Oversized
-    /// lines are answered with a `line_too_long` error object (the bytes
-    /// are drained, never buffered); a socket read timeout flushes pending
-    /// work, answers with a final `timeout` error object and closes the
-    /// stream gracefully.
-    pub fn handle_with_limits<R: BufRead, W: Write>(
-        &self,
-        mut input: R,
-        output: &mut W,
-        batch_size: usize,
-        limits: &ServeLimits,
-    ) -> std::io::Result<usize> {
-        assert!(batch_size > 0, "batch size must be positive");
-        let mut scored = 0usize;
-        // (line number, stage clock, parse outcome) for one flush window.
-        let mut window: Vec<(usize, Timeline, Parsed)> = Vec::with_capacity(batch_size);
-        let mut pending = 0usize; // Ok entries in the window
-        let mut lineno = 0usize;
-        loop {
-            let read = read_bounded_line(&mut input, limits.max_line_bytes)?;
-            match read {
-                LineRead::Eof => break,
-                LineRead::TimedOut => {
-                    // Answer what we have, then tell the client why the
-                    // stream is closing. Not an I/O failure: the protocol
-                    // handled it.
-                    scored += self.flush(&mut window, output, batch_size)?;
-                    metrics().timeouts.inc();
-                    self.write_stream_error(
-                        output,
-                        ErrorCode::Timeout,
-                        &format!(
-                            "read timed out after {:?} idle; closing connection",
-                            limits.read_timeout.unwrap_or_default()
-                        ),
-                    )?;
-                    return Ok(scored);
-                }
-                LineRead::TooLong => {
-                    lineno += 1;
-                    window.push((
-                        lineno,
-                        Timeline::start(Instant::now()),
-                        Parsed::Err(
-                            ErrorCode::LineTooLong,
-                            format!(
-                                "line {lineno}: request exceeds {} bytes",
-                                limits.max_line_bytes
-                            ),
-                        ),
-                    ));
-                }
-                LineRead::Line(line) => {
-                    lineno += 1;
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let arrival = Instant::now();
-                    let parsed = parse_request(&line, lineno);
-                    let mut timeline = Timeline::start(arrival);
-                    timeline.want_timings = parsed.wants_timings();
-                    timeline.deadline =
-                        admission::resolve_deadline(arrival, parsed.deadline_ms(), limits.default_deadline);
-                    window.push((lineno, timeline, parsed));
-                    match window.last() {
-                        Some((_, _, Parsed::Ok(_))) => pending += 1,
-                        Some((_, _, Parsed::Table(_))) => {
-                            // A whole-table request is its own batch: answer
-                            // everything up to and including it right away.
-                            scored += self.flush(&mut window, output, batch_size)?;
-                            pending = 0;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            if pending == batch_size {
-                scored += self.flush(&mut window, output, batch_size)?;
-                pending = 0;
-            }
-        }
-        scored += self.flush(&mut window, output, batch_size)?;
-        Ok(scored)
-    }
-
-    /// Write a stream-level error object (no `line` key — the condition
-    /// belongs to the connection, not to a request line).
-    fn write_stream_error<W: Write>(
-        &self,
-        output: &mut W,
-        code: ErrorCode,
-        msg: &str,
-    ) -> std::io::Result<()> {
-        metrics().errors.inc();
-        let mut kvs = error_body(code, msg, None);
-        kvs.push(("rid".to_string(), Value::Int(next_rid() as i64)));
-        let text = serde_json::to_string(&Value::Object(kvs))
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        writeln!(output, "{text}")?;
-        output.flush()
-    }
-
-    /// Score the Ok entries of the window in one (or more) forward passes
-    /// and write all responses in line order.
-    fn flush<W: Write>(
-        &self,
-        window: &mut Vec<(usize, Timeline, Parsed)>,
-        output: &mut W,
-        batch_size: usize,
-    ) -> std::io::Result<usize> {
-        let m = metrics();
-        let flushed_at = Instant::now();
-        // Deadline shed: a request whose deadline passed while it waited
-        // in the window never reaches the model — it is answered with the
-        // retryable `deadline_exceeded` error instead (the client has
-        // already stopped waiting; scoring it would only steal capacity
-        // from requests that can still make their deadlines).
-        for (_, timeline, parsed) in window.iter_mut() {
-            let expired = timeline.deadline.map(|d| d < flushed_at).unwrap_or(false);
-            if expired && matches!(parsed, Parsed::Ok(_) | Parsed::Table(_) | Parsed::Record(_)) {
-                admission::count_shed("deadline");
-                *parsed = Parsed::Err(
-                    ErrorCode::DeadlineExceeded,
-                    "deadline exceeded before dispatch; request shed".to_string(),
-                );
-            }
-        }
-        let pairs: Vec<dader_core::EntityPair> = window
-            .iter()
-            .filter_map(|(_, _, p)| match p {
-                Parsed::Ok(req) => Some((req.a.clone(), req.b.clone())),
-                _ => None,
-            })
-            .collect();
-        if !pairs.is_empty() {
-            m.batch_size.observe(pairs.len() as f64);
-        }
-        let occupancy = pairs.len() as u32;
-        let infer_start = Instant::now();
-        let preds = predict_contained(&self.model, &self.encoder, &pairs, batch_size);
-        let infer_end = Instant::now();
-        let mut scored = preds.iter().filter(|p| p.is_some()).count();
-        m.scored_pairs.add(scored as u64);
-        let mut preds = preds.into_iter();
-        for (lineno, mut timeline, parsed) in window.drain(..) {
-            m.requests.inc();
-            let kvs = match parsed {
-                Parsed::Ok(req) => {
-                    timeline.flushed = Some(flushed_at);
-                    timeline.occupancy = occupancy;
-                    timeline.infer_start = Some(infer_start);
-                    timeline.infer_end = Some(infer_end);
-                    match preds.next().expect("one prediction slot per Ok line") {
-                        Some((label, prob)) => pair_body(req.id, label, prob),
-                        None => {
-                            m.errors.inc();
-                            error_body(
-                                ErrorCode::Internal,
-                                &format!("line {lineno}: inference failed for this request"),
-                                Some(lineno),
-                            )
-                        }
-                    }
-                }
-                Parsed::Table(req) if req.right.is_some() => {
-                    // A table request is its own single-occupant batch;
-                    // its inference interval is its own match run.
-                    timeline.flushed = Some(flushed_at);
-                    timeline.occupancy = 1;
-                    timeline.infer_start = Some(Instant::now());
-                    let right = req.right.as_deref().expect("guarded by the match arm");
-                    m.index_rebuilds.inc();
-                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                        dader_obs::fault::maybe_crash("serve.infer");
-                        crate::matching::match_tables(
-                            &self.model,
-                            &self.encoder,
-                            &req.left,
-                            right,
-                            req.kind,
-                            req.k,
-                            batch_size,
-                            req.threshold,
-                        )
-                    }));
-                    timeline.infer_end = Some(Instant::now());
-                    match attempt {
-                        Ok(outcome) => {
-                            scored += outcome.candidates;
-                            m.scored_pairs.add(outcome.candidates as u64);
-                            table_body(req.id, &outcome)
-                        }
-                        Err(_) => {
-                            m.worker_panics.inc();
-                            m.errors.inc();
-                            error_body(
-                                ErrorCode::Internal,
-                                &format!("line {lineno}: inference failed for this request"),
-                                Some(lineno),
-                            )
-                        }
-                    }
-                }
-                Parsed::Table(_)
-                | Parsed::Record(_)
-                | Parsed::IndexUpsert { .. }
-                | Parsed::IndexDelete { .. } => {
-                    // Index-backed modes need the shared streaming index,
-                    // which only the TCP event loop carries.
-                    m.errors.inc();
-                    error_body(
-                        ErrorCode::InvalidRequest,
-                        &format!(
-                            "line {lineno}: this mode needs a loaded index — serve with \
-                             --listen and --index (the stdin stream has no index)"
-                        ),
-                        Some(lineno),
-                    )
-                }
-                Parsed::Reload(_) => {
-                    m.errors.inc();
-                    error_body(
-                        ErrorCode::InvalidRequest,
-                        &format!(
-                            "line {lineno}: reload is only available on a TCP listener \
-                             (model registry); the stdin stream serves a fixed artifact"
-                        ),
-                        Some(lineno),
-                    )
-                }
-                Parsed::Status => {
-                    // Stdin / legacy path: no registry, so no model version
-                    // or live-connection gauge worth reporting — the
-                    // snapshot still answers with the process-wide metrics.
-                    vec![("status".to_string(), status::status_snapshot(None))]
-                }
-                Parsed::Err(code, msg) => {
-                    m.errors.inc();
-                    error_body(code, &msg, Some(lineno))
-                }
-            };
-            let text = stamp_and_finalize(kvs, &timeline, None)?;
-            writeln!(output, "{text}")?;
-        }
-        output.flush()?;
-        Ok(scored)
     }
 }
 
@@ -1448,25 +1117,23 @@ fn parse_reload_request(v: &Value, lineno: usize) -> Parsed {
     }
 }
 
-/// Options for TCP serving ([`serve_event_loop`] and the legacy
-/// [`serve_tcp`]): per-connection limits, batching, and the server-wide
-/// concurrency cap.
+/// Options for the serving core ([`serve_event_loop`], and
+/// [`serve_stream`], which ignores the socket-only timeouts and cap):
+/// per-connection limits, batching, and the server-wide concurrency cap.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpServeConfig {
     /// Per-connection limits (line size, read/write timeouts).
     pub limits: ServeLimits,
-    /// Maximum pairs per inference batch. The event loop pools requests
-    /// from *all* connections up to this size; the legacy path batches
-    /// per connection.
+    /// Maximum pairs per inference batch, pooled across *all*
+    /// connections.
     pub batch_size: usize,
     /// Concurrent-connection cap. A connection over the cap is answered
     /// with one `overloaded` error object and closed — a typed rejection
     /// the client can retry, instead of an unbounded thread pile-up or a
-    /// silent hang. The reject is never a blocking write: the event loop
-    /// enqueues it on a nonblocking socket, the legacy path writes it
-    /// from a scratch thread with the write timeout already applied.
+    /// silent hang. The reject is never a blocking write: it is enqueued
+    /// on the nonblocking socket.
     pub max_conns: usize,
-    /// Batch hold bound in microseconds (event loop only). The flush is
+    /// Batch hold bound in microseconds. The flush is
     /// work-conserving: while no batch is being scored a request is
     /// dispatched at once, whatever this says. Only while the scorer is
     /// busy with one batch are requests held, for at most this long, so
@@ -1474,12 +1141,11 @@ pub struct TcpServeConfig {
     /// return. The event loop waits out the hold in `ppoll`, to the
     /// microsecond. Trades latency under load for GEMM batch occupancy.
     pub flush_us: u64,
-    /// Admission bound on the pending-request queue (event loop only).
-    /// At this depth socket reads pause (TCP backpressure) and resume
-    /// below half of it; a request parsed while the queue is already
-    /// full is shed with a retryable `overloaded` error instead of
-    /// queued — the server's memory stays bounded under any offered
-    /// load.
+    /// Admission bound on the pending-request queue. At this depth
+    /// socket reads pause (TCP backpressure) and resume below half of it;
+    /// a request a TCP client sent while the queue is already full is
+    /// shed with a retryable `overloaded` error instead of queued — the
+    /// server's memory stays bounded under any offered load.
     pub max_queue: usize,
 }
 
@@ -1538,135 +1204,6 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Join one worker handle, surfacing a panic (counted in
-/// `serve_worker_panics_total` and echoed to stderr) instead of silently
-/// dropping it with the `JoinHandle`.
-fn join_and_report(w: std::thread::JoinHandle<()>) {
-    if let Err(panic) = w.join() {
-        metrics().worker_panics.inc();
-        eprintln!(
-            "dader-serve: connection worker panicked: {}",
-            panic_message(&*panic)
-        );
-    }
-}
-
-/// Reap every finished handle in `workers` via [`join_and_report`].
-fn reap_finished_workers(workers: &mut Vec<std::thread::JoinHandle<()>>) {
-    let mut i = 0;
-    while i < workers.len() {
-        if workers[i].is_finished() {
-            join_and_report(workers.swap_remove(i));
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Serve the line protocol over TCP, one thread per connection, until
-/// `stop` becomes true — the legacy serving core, kept for before/after
-/// benchmarking against [`serve_event_loop`] (which pools batches across
-/// connections). Connections beyond `cfg.max_conns` are rejected with a
-/// typed `overloaded` error written from a scratch thread with the write
-/// timeout already applied, so a rejected client that never reads can no
-/// longer stall the accept loop. When `stop` is raised the listener stops
-/// accepting, in-flight connections drain to completion, and only then
-/// does the call return (the graceful-shutdown contract: no accepted
-/// request is abandoned). Returns the total number of pairs scored.
-pub fn serve_tcp(
-    server: Arc<MatchServer>,
-    listener: std::net::TcpListener,
-    cfg: TcpServeConfig,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<usize> {
-    listener.set_nonblocking(true)?;
-    let active = Arc::new(AtomicUsize::new(0));
-    let scored_total = Arc::new(AtomicUsize::new(0));
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        // Reap up front, not just on accept: finished handles are joined
-        // (surfacing panics) even when no new connection ever arrives.
-        reap_finished_workers(&mut workers);
-        match listener.accept() {
-            Ok((conn, peer)) => {
-                metrics().conns_total.inc();
-                // The accepted socket may inherit the listener's
-                // non-blocking mode; per-connection I/O uses timeouts
-                // instead.
-                let _ = conn.set_nonblocking(false);
-                // Short response lines go out without waiting for the
-                // client's ACK of the previous one (Nagle).
-                let _ = conn.set_nodelay(true);
-                // Timeouts are applied before ANY write — including the
-                // overloaded reject below. Writing first wedged the single
-                // accept thread on a client that connected at the cap and
-                // never read its socket.
-                let _ = conn.set_read_timeout(cfg.limits.read_timeout);
-                let _ = conn.set_write_timeout(cfg.limits.write_timeout);
-                if active.load(Ordering::Acquire) >= cfg.max_conns {
-                    metrics().rejected.inc();
-                    let server = Arc::clone(&server);
-                    let max_conns = cfg.max_conns;
-                    // The reject is written off the accept thread: even
-                    // with the timeout applied, a non-reading client can
-                    // block the write for the full timeout window, and the
-                    // accept loop must outlive hostile clients.
-                    workers.push(std::thread::spawn(move || {
-                        let mut conn = conn;
-                        let _ = server.write_stream_error(
-                            &mut conn,
-                            ErrorCode::Overloaded,
-                            &format!("server at connection cap ({max_conns}); retry later"),
-                        );
-                    }));
-                    crate::note!("dader-serve: {peer}: rejected (overloaded)");
-                    continue;
-                }
-                let live = active.fetch_add(1, Ordering::AcqRel) + 1;
-                metrics().conns_live.set(live as f64);
-                let server = Arc::clone(&server);
-                let active = Arc::clone(&active);
-                let scored_total = Arc::clone(&scored_total);
-                let limits = cfg.limits;
-                let batch_size = cfg.batch_size;
-                workers.push(std::thread::spawn(move || {
-                    let result = conn.try_clone().and_then(|r| {
-                        let reader = std::io::BufReader::new(r);
-                        let mut writer = std::io::BufWriter::new(conn);
-                        let n =
-                            server.handle_with_limits(reader, &mut writer, batch_size, &limits)?;
-                        writer.flush()?;
-                        Ok(n)
-                    });
-                    match result {
-                        Ok(n) => {
-                            scored_total.fetch_add(n, Ordering::Relaxed);
-                            crate::note!("dader-serve: {peer}: scored {n} pairs");
-                        }
-                        Err(e) => eprintln!("dader-serve: {peer}: connection failed: {e}"),
-                    }
-                    let live = active.fetch_sub(1, Ordering::AcqRel) - 1;
-                    metrics().conns_live.set(live as f64);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("dader-serve: accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-    // Drain: every accepted connection finishes before we return. Reject
-    // writers are bounded by the write timeout, so this join terminates.
-    for w in workers {
-        join_and_report(w);
-    }
-    Ok(scored_total.load(Ordering::Relaxed))
-}
-
 /// Print a JSON number the way the tokenizer expects attribute text
 /// (integers without a trailing `.0`).
 fn format_number(n: f64) -> String {
@@ -1685,6 +1222,7 @@ mod tests {
     use dader_text::Vocab;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn tiny_server() -> MatchServer {
         let vocab = Vocab::build(
@@ -1709,27 +1247,36 @@ mod tests {
         MatchServer::new(model, encoder, "test")
     }
 
-    fn responses(server: &MatchServer, input: &str, batch: usize) -> (usize, Vec<Value>) {
+    /// Serve `input` as one stream through [`serve_stream`]; returns the
+    /// pairs scored and the parsed response lines.
+    fn serve_with(input: &str, cfg: TcpServeConfig) -> (usize, Vec<Value>) {
+        let registry = Arc::new(ModelRegistry::new(tiny_server()));
         let mut out = Vec::new();
-        let n = server
-            .handle(std::io::Cursor::new(input.to_string()), &mut out, batch)
-            .unwrap();
-        let lines = String::from_utf8(out).unwrap();
-        let vals = lines
+        let input = std::io::Cursor::new(input.to_string());
+        let n = serve_stream(registry, input, &mut out, cfg).unwrap();
+        let vals = String::from_utf8(out)
+            .unwrap()
             .lines()
             .map(|l| serde_json::from_str(l).unwrap())
             .collect();
         (n, vals)
     }
 
+    fn responses(input: &str, batch: usize) -> (usize, Vec<Value>) {
+        let cfg = TcpServeConfig {
+            batch_size: batch,
+            ..TcpServeConfig::default()
+        };
+        serve_with(input, cfg)
+    }
+
     #[test]
     fn scores_valid_requests_in_order() {
-        let server = tiny_server();
         let input = concat!(
             "{\"id\": 1, \"a\": {\"title\": \"kodak esp\"}, \"b\": {\"title\": \"kodak esp\"}}\n",
             "{\"id\": 2, \"a\": {\"title\": \"kodak\"}, \"b\": {\"title\": \"hp laserjet\"}}\n",
         );
-        let (n, vals) = responses(&server, input, 8);
+        let (n, vals) = responses(input, 8);
         assert_eq!(n, 2);
         assert_eq!(vals.len(), 2);
         for (i, v) in vals.iter().enumerate() {
@@ -1743,7 +1290,6 @@ mod tests {
 
     #[test]
     fn malformed_lines_become_error_objects() {
-        let server = tiny_server();
         let input = concat!(
             "this is not json\n",
             "{\"a\": {\"title\": \"kodak\"}, \"b\": {\"title\": \"kodak\"}}\n",
@@ -1751,7 +1297,7 @@ mod tests {
             "[1, 2, 3]\n",
             "{\"a\": {\"title\": [1]}, \"b\": {\"title\": \"x\"}}\n",
         );
-        let (n, vals) = responses(&server, input, 2);
+        let (n, vals) = responses(input, 2);
         assert_eq!(n, 1, "only the one valid line is scored");
         assert_eq!(vals.len(), 5, "every line gets a response");
         for (i, expect_err) in [(0, true), (1, false), (2, true), (3, true), (4, true)] {
@@ -1765,15 +1311,14 @@ mod tests {
 
     #[test]
     fn batching_preserves_order_and_results() {
-        let server = tiny_server();
         let mut input = String::new();
         for i in 0..7 {
             input.push_str(&format!(
                 "{{\"id\": {i}, \"a\": {{\"title\": \"kodak esp {i}\"}}, \"b\": {{\"title\": \"kodak\"}}}}\n"
             ));
         }
-        let (_, one) = responses(&server, &input, 1);
-        let (_, big) = responses(&server, &input, 5);
+        let (_, one) = responses(&input, 1);
+        let (_, big) = responses(&input, 5);
         // rid and latency_us legitimately differ between runs; the scored
         // payload must not.
         let stable = |vals: &[Value]| -> Vec<Value> {
@@ -1800,13 +1345,12 @@ mod tests {
 
     #[test]
     fn responses_carry_monotone_rids_and_latency() {
-        let server = tiny_server();
         let input = concat!(
             "{\"a\": {\"title\": \"kodak\"}, \"b\": {\"title\": \"kodak\"}}\n",
             "not json\n",
             "{\"a\": {\"title\": \"esp\"}, \"b\": {\"title\": \"hp\"}}\n",
         );
-        let (_, vals) = responses(&server, input, 2);
+        let (_, vals) = responses(input, 2);
         assert_eq!(vals.len(), 3);
         let rids: Vec<u64> = vals
             .iter()
@@ -1826,19 +1370,18 @@ mod tests {
         }
         // A second stream continues the id sequence (global across
         // connections).
-        let (_, more) = responses(&server, input, 2);
+        let (_, more) = responses(input, 2);
         let first_new = more[0].get("rid").unwrap().as_f64().unwrap() as u64;
         assert!(first_new > *rids.last().unwrap());
     }
 
     #[test]
     fn timings_breakdown_is_opt_in_and_nests_inside_latency() {
-        let server = tiny_server();
         let input = concat!(
             "{\"id\": 1, \"a\": {\"title\": \"kodak esp\"}, \"b\": {\"title\": \"kodak\"}, \"timings\": true}\n",
             "{\"id\": 2, \"a\": {\"title\": \"esp\"}, \"b\": {\"title\": \"hp\"}}\n",
         );
-        let (_, vals) = responses(&server, input, 2);
+        let (_, vals) = responses(input, 2);
         let t = vals[0].get("timings").expect("timings were requested");
         for key in ["queue_us", "batch_wait_us", "infer_us", "write_us"] {
             assert!(t.get(key).is_some(), "missing {key}: {t:?}");
@@ -1860,12 +1403,11 @@ mod tests {
 
     #[test]
     fn status_mode_request_answers_inline() {
-        let server = tiny_server();
         let input = concat!(
             "{\"mode\": \"status\"}\n",
             "{\"id\": 1, \"a\": {\"title\": \"kodak\"}, \"b\": {\"title\": \"kodak\"}}\n",
         );
-        let (n, vals) = responses(&server, input, 2);
+        let (n, vals) = responses(input, 2);
         assert_eq!(n, 1, "the status probe is not a scored pair");
         assert_eq!(vals.len(), 2, "status gets a response in stream order");
         let status = vals[0].get("status").expect("status body");
@@ -1878,12 +1420,11 @@ mod tests {
 
     #[test]
     fn error_objects_carry_code_and_retryable() {
-        let server = tiny_server();
         let input = concat!(
             "not json\n",
             "{\"a\": \"nope\", \"b\": {\"title\": \"x\"}}\n",
         );
-        let (_, vals) = responses(&server, input, 4);
+        let (_, vals) = responses(input, 4);
         assert_eq!(vals[0].get("code").unwrap(), &Value::String("invalid_json".into()));
         assert_eq!(vals[1].get("code").unwrap(), &Value::String("invalid_request".into()));
         for v in &vals {
@@ -1897,10 +1438,13 @@ mod tests {
 
     #[test]
     fn oversized_line_yields_line_too_long_and_stream_continues() {
-        let server = tiny_server();
-        let limits = ServeLimits {
-            max_line_bytes: 64,
-            ..ServeLimits::default()
+        let cfg = TcpServeConfig {
+            limits: ServeLimits {
+                max_line_bytes: 64,
+                ..ServeLimits::default()
+            },
+            batch_size: 4,
+            ..TcpServeConfig::default()
         };
         // Line 2 is far over the limit; lines 1 and 3 must still be scored.
         let huge = format!(
@@ -1912,16 +1456,8 @@ mod tests {
             "{\"a\": {\"title\": \"kodak\"}, \"b\": {\"title\": \"kodak\"}}",
             "{\"a\": {\"title\": \"esp\"}, \"b\": {\"title\": \"hp\"}}"
         );
-        let mut out = Vec::new();
-        let n = server
-            .handle_with_limits(std::io::Cursor::new(input), &mut out, 4, &limits)
-            .unwrap();
+        let (n, vals) = serve_with(&input, cfg);
         assert_eq!(n, 2, "the two in-limit lines are scored");
-        let vals: Vec<Value> = String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
         assert_eq!(vals.len(), 3);
         assert_eq!(
             vals[1].get("code").unwrap(),
@@ -1931,27 +1467,6 @@ mod tests {
         assert_eq!(vals[1].get("retryable").unwrap(), &Value::Bool(false));
         assert!(vals[0].get("error").is_none());
         assert!(vals[2].get("error").is_none());
-    }
-
-    #[test]
-    fn bounded_reader_handles_eof_split_lines_and_overflow() {
-        let max = 8;
-        let mut r = std::io::Cursor::new(b"short\nexactly8\nwaytoolongline\ntail".to_vec());
-        assert!(matches!(
-            read_bounded_line(&mut r, max).unwrap(),
-            LineRead::Line(l) if l == "short"
-        ));
-        assert!(matches!(
-            read_bounded_line(&mut r, max).unwrap(),
-            LineRead::Line(l) if l == "exactly8"
-        ));
-        assert!(matches!(read_bounded_line(&mut r, max).unwrap(), LineRead::TooLong));
-        // Unterminated final line still comes through, then EOF.
-        assert!(matches!(
-            read_bounded_line(&mut r, max).unwrap(),
-            LineRead::Line(l) if l == "tail"
-        ));
-        assert!(matches!(read_bounded_line(&mut r, max).unwrap(), LineRead::Eof));
     }
 
     #[test]
@@ -1971,64 +1486,7 @@ mod tests {
     }
 
     #[test]
-    fn tcp_server_caps_connections_and_drains() {
-        use std::io::{BufRead as _, BufReader, Write as _};
-        use std::net::{TcpListener, TcpStream};
-
-        let server = Arc::new(tiny_server());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        // batch_size 1 so the response flushes immediately (keeping the
-        // first connection demonstrably active), short timeout so a
-        // regression fails fast instead of hanging the suite.
-        let cfg = TcpServeConfig {
-            max_conns: 1,
-            batch_size: 1,
-            limits: ServeLimits {
-                read_timeout: Some(Duration::from_secs(5)),
-                write_timeout: Some(Duration::from_secs(5)),
-                ..ServeLimits::default()
-            },
-            ..TcpServeConfig::default()
-        };
-        let srv = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || serve_tcp(server, listener, cfg, stop))
-        };
-
-        // First connection occupies the single slot (held open).
-        let mut first = TcpStream::connect(addr).unwrap();
-        first
-            .write_all(b"{\"a\": {\"title\": \"kodak\"}, \"b\": {\"title\": \"kodak\"}}\n")
-            .unwrap();
-        let mut first_reader = BufReader::new(first.try_clone().unwrap());
-        let mut line = String::new();
-        first_reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"match\""), "scored response, got {line}");
-
-        // Second connection must be rejected with a typed, retryable error.
-        // The accept loop needs a moment to see it while the first is open.
-        let second = TcpStream::connect(addr).unwrap();
-        let mut second_reader = BufReader::new(second);
-        let mut rej = String::new();
-        second_reader.read_line(&mut rej).unwrap();
-        let v: Value = serde_json::from_str(rej.trim()).unwrap();
-        assert_eq!(v.get("code").unwrap(), &Value::String("overloaded".into()));
-        assert_eq!(v.get("retryable").unwrap(), &Value::Bool(true));
-
-        // Close the first client, request shutdown: serve_tcp must drain
-        // and report the scored total.
-        drop(first_reader);
-        drop(first);
-        stop.store(true, Ordering::Relaxed);
-        let total = srv.join().unwrap().unwrap();
-        assert_eq!(total, 1);
-    }
-
-    #[test]
     fn match_table_mode_blocks_and_scores() {
-        let server = tiny_server();
         let input = concat!(
             "{\"id\": \"t1\", \"mode\": \"match_table\", ",
             "\"left\": [{\"title\": \"kodak esp printer\"}, {\"title\": \"hp laserjet\"}], ",
@@ -2037,7 +1495,7 @@ mod tests {
             // The stream keeps serving pair requests after a table request.
             "{\"a\": {\"title\": \"kodak\"}, \"b\": {\"title\": \"kodak\"}}\n",
         );
-        let (n, vals) = responses(&server, input, 4);
+        let (n, vals) = responses(input, 4);
         assert_eq!(vals.len(), 2);
         let table = &vals[0];
         assert_eq!(table.get("id").unwrap(), &Value::String("t1".into()));
@@ -2061,14 +1519,13 @@ mod tests {
 
     #[test]
     fn match_table_mode_rejects_bad_requests() {
-        let server = tiny_server();
         let input = concat!(
             "{\"mode\": \"match_table\", \"left\": \"nope\", \"right\": []}\n",
             "{\"mode\": \"match_table\", \"left\": [], \"right\": [], \"blocker\": \"quantum\"}\n",
             "{\"mode\": \"teleport\"}\n",
             "{\"mode\": \"match_table\", \"left\": [], \"right\": [], \"k\": 0}\n",
         );
-        let (n, vals) = responses(&server, input, 4);
+        let (n, vals) = responses(input, 4);
         assert_eq!(n, 0);
         assert_eq!(vals.len(), 4);
         for (i, v) in vals.iter().enumerate() {
@@ -2084,13 +1541,12 @@ mod tests {
 
     #[test]
     fn blank_lines_skipped_numbers_and_nulls_coerced() {
-        let server = tiny_server();
         let input = concat!(
             "\n",
             "{\"a\": {\"title\": \"kodak\", \"price\": 99.5, \"stock\": null}, \"b\": {\"title\": \"kodak\", \"price\": 100}}\n",
             "   \n",
         );
-        let (n, vals) = responses(&server, input, 4);
+        let (n, vals) = responses(input, 4);
         assert_eq!(n, 1);
         assert_eq!(vals.len(), 1);
         assert!(vals[0].get("error").is_none());

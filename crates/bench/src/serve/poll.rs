@@ -14,8 +14,10 @@
 //! to a bounded sleep tick that reports every watched connection as
 //! readable.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::time::Duration;
+
+use super::conn::Stream;
 
 pub(crate) use imp::{Poller, Waker};
 
@@ -27,7 +29,7 @@ mod imp {
     use std::os::unix::net::UnixStream;
     use std::sync::Arc;
 
-    use super::{Duration, TcpListener, TcpStream};
+    use super::{Duration, Stream, TcpListener};
 
     const POLLIN: c_short = 0x001;
     const POLLOUT: c_short = 0x004;
@@ -110,7 +112,7 @@ mod imp {
 
         /// Watch connection `id` for readability and/or writability; a
         /// connection that wants neither is left out.
-        pub(crate) fn watch(&mut self, id: usize, stream: &TcpStream, read: bool, write: bool) {
+        pub(crate) fn watch(&mut self, id: usize, stream: &Stream, read: bool, write: bool) {
             let events = if read { POLLIN } else { 0 } | if write { POLLOUT } else { 0 };
             if events != 0 {
                 self.push(stream.as_raw_fd(), events);
@@ -175,7 +177,7 @@ mod imp {
 
 #[cfg(not(any(target_os = "linux", target_os = "android")))]
 mod imp {
-    use super::{Duration, TcpListener, TcpStream};
+    use super::{Duration, Stream, TcpListener};
 
     /// Longest single sleep of the fallback wait.
     const TICK: Duration = Duration::from_micros(200);
@@ -208,7 +210,7 @@ mod imp {
             self.ids.clear();
         }
 
-        pub(crate) fn watch(&mut self, id: usize, _stream: &TcpStream, read: bool, _write: bool) {
+        pub(crate) fn watch(&mut self, id: usize, _stream: &Stream, read: bool, _write: bool) {
             if read {
                 self.ids.push(id);
             }
@@ -232,6 +234,7 @@ mod imp {
 mod tests {
     use super::*;
     use std::io::Write;
+    use std::net::TcpStream;
     use std::time::Instant;
 
     #[test]
@@ -276,9 +279,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let _quiet_client = TcpStream::connect(addr).unwrap();
-        let (quiet, _) = listener.accept().unwrap();
+        let quiet = Stream::Tcp(listener.accept().unwrap().0);
         let mut loud_client = TcpStream::connect(addr).unwrap();
-        let (loud, _) = listener.accept().unwrap();
+        let loud = Stream::Tcp(listener.accept().unwrap().0);
         loud_client.write_all(b"x\n").unwrap();
         let mut p = Poller::new().unwrap();
         p.begin(Some(&listener));

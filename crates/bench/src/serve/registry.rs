@@ -11,8 +11,8 @@
 //!
 //! Reload triggers: a `{"mode": "reload"}` request line on any serving
 //! connection (optionally with `"artifact": "<path>"` to switch files),
-//! or a `reload [path]` control line on the `dader-serve` process stdin —
-//! the SIGHUP idiom without signal handling.
+//! or a `reload [path]` control line on the `dader-serve --listen`
+//! process stdin — the SIGHUP idiom without signal handling.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -36,8 +36,7 @@ pub fn started() -> Instant {
 
 /// Build the live status object answered by `GET /status` and the
 /// in-band `{"mode": "status"}` request. `registry` adds the serving
-/// model's version and generation where one exists (the TCP event loop);
-/// the stdin path passes `None`.
+/// model's version and generation where one exists.
 pub(crate) fn status_snapshot(registry: Option<&ModelRegistry>) -> Value {
     let m = metrics();
     let w = m.latency_window.snapshot();
@@ -352,8 +351,8 @@ fn handle_conn(stream: TcpStream, registry: Option<&ModelRegistry>) -> std::io::
 }
 
 /// Bind `addr` and serve `/metrics` + `/status` from a background thread
-/// for the life of the process. `registry` (when the event loop is
-/// serving) adds the model version to `/status`. Returns the bound
+/// for the life of the process. `registry` (when a model is serving)
+/// adds the model version to `/status`. Returns the bound
 /// address (callers announce it — `addr` may name an ephemeral port);
 /// a bad address fails loudly at startup.
 pub fn spawn_status_endpoint(

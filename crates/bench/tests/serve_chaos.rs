@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dader_bench::{
-    serve_event_loop, MatchServer, ModelRegistry, ServeLimits, TcpServeConfig,
+    serve_event_loop, serve_stream, MatchServer, ModelRegistry, ServeLimits, TcpServeConfig,
 };
 use dader_core::{DaderModel, LmExtractor, Matcher};
 use dader_nn::TransformerConfig;
@@ -73,6 +73,20 @@ fn fast_cfg() -> TcpServeConfig {
 }
 
 type ServerHandle = std::thread::JoinHandle<std::io::Result<usize>>;
+
+/// Serve `input` as one piped stream through [`serve_stream`] on a seed-9
+/// server; returns the response text.
+fn serve_piped(input: &str, batch_size: usize) -> String {
+    let registry = Arc::new(ModelRegistry::new(tiny_server(9)));
+    let cfg = TcpServeConfig {
+        batch_size,
+        ..TcpServeConfig::default()
+    };
+    let mut out = Vec::new();
+    let input = std::io::Cursor::new(input.to_string());
+    serve_stream(registry, input, &mut out, cfg).unwrap();
+    String::from_utf8(out).unwrap()
+}
 
 fn start_event_loop(cfg: TcpServeConfig) -> (std::net::SocketAddr, Arc<AtomicBool>, ServerHandle) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -335,8 +349,9 @@ fn queue_full_sheds_with_typed_errors_and_order_holds() {
     handle.join().expect("server thread").expect("clean drain");
 }
 
-/// `deadline_ms: 0` is already due on arrival: both serving cores shed it
-/// with the retryable `deadline_exceeded` code instead of scoring it.
+/// `deadline_ms: 0` is already due on arrival: a TCP connection and a
+/// piped stream both shed it with the retryable `deadline_exceeded` code
+/// instead of scoring it.
 #[test]
 fn expired_deadline_is_shed_on_both_cores() {
     let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -363,23 +378,18 @@ fn expired_deadline_is_shed_on_both_cores() {
     stop.store(true, Ordering::Relaxed);
     handle.join().expect("server thread").expect("clean drain");
 
-    // Stdin/legacy core: shed at flush time.
-    let server = tiny_server(9);
-    let mut out = Vec::new();
-    server
-        .handle_with_limits(expired.as_bytes(), &mut out, 8, &ServeLimits::default())
-        .unwrap();
-    let text = String::from_utf8(out).unwrap();
+    // Piped stream (the stdin entry point): same core, same shed.
+    let text = serve_piped(expired, 8);
     let v: Value = serde_json::from_str(text.lines().next().unwrap()).unwrap();
     assert_eq!(
         v.get("code"),
         Some(&Value::String("deadline_exceeded".into())),
-        "stdin core: {text}"
+        "piped stream: {text}"
     );
 }
 
 /// Property: under any mix of valid / already-expired / malformed
-/// requests with probabilistic infer panics armed, the stdin core still
+/// requests with probabilistic infer panics armed, a piped stream still
 /// answers every line exactly once, in order, with monotone rids and
 /// codes drawn from the documented taxonomy. Shedding and bisection must
 /// never reorder or drop a response.
@@ -428,14 +438,9 @@ proptest! {
             .enumerate()
             .map(|(i, &k)| request_text(k, i))
             .collect();
-        let server = tiny_server(9);
-        let mut out = Vec::new();
-        server
-            .handle_with_limits(input.as_bytes(), &mut out, 4, &ServeLimits::default())
-            .unwrap();
+        let text = serve_piped(&input, 4);
         fault::clear();
 
-        let text = String::from_utf8(out).unwrap();
         let responses: Vec<Value> = text
             .lines()
             .map(|l| serde_json::from_str(l).expect("response JSON"))

@@ -1,8 +1,10 @@
 //! Integration test for the `dader-serve` binary: spawn the real process,
 //! stream requests (valid and malformed) over stdin, and assert one
 //! response per line — error objects for the bad lines, predictions for
-//! the good ones — with a clean exit. A corrupted artifact must produce a
-//! structured error on stderr, not a panic.
+//! the good ones — with a clean exit. Stdin and `--listen` answer the
+//! same stream byte for byte, and stdin queues a burst instead of
+//! shedding it. A corrupted artifact or an unknown flag must produce an
+//! error on stderr, not a panic.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
@@ -263,10 +265,11 @@ fn write_tiny_artifact_pair(name: &str) -> (PathBuf, PathBuf) {
 /// with `--listen 127.0.0.1:0`, learn the ephemeral port from stderr,
 /// stream the request lines through one connection, and shut the server
 /// down gracefully. Returns one parsed JSON value per response line.
-fn serve_over_tcp(artifact: &PathBuf, input: &str) -> Vec<Value> {
+fn serve_over_tcp(artifact: &PathBuf, extra_args: &[&str], input: &str) -> Vec<Value> {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dader-serve"))
         .arg(artifact)
-        .args(["--batch-size", "2", "--listen", "127.0.0.1:0"])
+        .args(["--listen", "127.0.0.1:0"])
+        .args(extra_args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -320,8 +323,8 @@ fn quantized_artifact_serves_identically_over_sockets() {
         "{\"id\": 2, \"a\": {\"title\": \"hp laserjet\"}, \"b\": {\"title\": \"kodak\"}}\n",
         "{\"id\": 3, \"a\": {\"title\": \"printer\"}, \"b\": {\"title\": \"printer\"}}\n",
     );
-    let f32_resp = serve_over_tcp(&f32_path, input);
-    let int8_resp = serve_over_tcp(&int8_path, input);
+    let f32_resp = serve_over_tcp(&f32_path, &["--batch-size", "2"], input);
+    let int8_resp = serve_over_tcp(&int8_path, &["--batch-size", "2"], input);
     std::fs::remove_file(&f32_path).unwrap();
     std::fs::remove_file(&int8_path).unwrap();
 
@@ -409,4 +412,107 @@ fn missing_artifact_fails_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot load artifact"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+/// The removed `--thread-per-conn` switch (like any unknown flag) is an
+/// error naming the flag, not a silently ignored argument.
+#[test]
+fn thread_per_conn_flag_is_rejected() {
+    let artifact = write_tiny_artifact("flags.dma");
+    let out = run_serve(&artifact, &["--thread-per-conn"], "");
+    std::fs::remove_file(&artifact).unwrap();
+    assert!(!out.status.success(), "an unknown flag must fail the start");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: dader-serve"), "stderr: {stderr}");
+    assert!(stderr.contains("--thread-per-conn"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing is served");
+}
+
+/// Stdin and `--listen` run one serving core: the same stream — pairs, a
+/// malformed line, a blank line, an over-limit line and an inline-`right`
+/// `match_table` — gets byte-identical answers both ways once the per-run
+/// `rid` and `latency_us` are removed.
+#[test]
+fn stdin_and_socket_answer_byte_identically() {
+    let artifact = write_tiny_artifact("same.dma");
+    let input = format!(
+        "{}\n{}\n\n{}\n{}\n{}\n{}\n",
+        r#"{"id": 1, "a": {"title": "kodak esp"}, "b": {"title": "kodak esp printer"}}"#,
+        "not json {{{",
+        format_args!(
+            r#"{{"id": 3, "a": {{"title": "{}"}}, "b": {{"title": "hp"}}}}"#,
+            "x".repeat(300)
+        ),
+        r#"{"id": 4, "mode": "match_table", "left": [{"title": "kodak esp"}, {"title": "hp laserjet"}], "right": [{"title": "hp laserjet printer"}, {"title": "kodak esp"}], "blocker": "topk", "k": 2, "threshold": 0.0}"#,
+        r#"{"id": 5, "a": {"title": "hp laserjet"}, "b": {"title": "printer"}}"#,
+        r#"{"id": 6, "a": {"title": "esp"}, "b": {"title": "esp"}}"#,
+    );
+    let args = ["--batch-size", "2", "--max-line-bytes", "256"];
+    let out = run_serve(&artifact, &args, &input);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdin_resp: Vec<Value> = String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    let socket_resp = serve_over_tcp(&artifact, &args, &input);
+    std::fs::remove_file(&artifact).unwrap();
+
+    let without_envelope = |v: &Value| -> String {
+        let kvs = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .filter(|(k, _)| k.as_str() != "rid" && k.as_str() != "latency_us")
+            .cloned()
+            .collect();
+        serde_json::to_string(&Value::Object(kvs)).unwrap()
+    };
+    let stdin_text: Vec<String> = stdin_resp.iter().map(without_envelope).collect();
+    let socket_text: Vec<String> = socket_resp.iter().map(without_envelope).collect();
+    assert_eq!(
+        stdin_text.len(),
+        6,
+        "the blank line gets no answer: {stdin_text:#?}"
+    );
+    assert_eq!(stdin_text, socket_text);
+    let code = |i: usize| stdin_resp[i].get("code").and_then(|c| c.as_str());
+    assert_eq!(code(1), Some("invalid_json"));
+    assert_eq!(code(2), Some("line_too_long"));
+    assert!(
+        stdin_resp[3].get("matches").is_some(),
+        "{:?}",
+        stdin_resp[3]
+    );
+    for v in stdin_resp.iter().filter(|v| v.get("error").is_none()) {
+        assert_eq!(v.get("version"), Some(&Value::String("v1".into())), "{v:?}");
+    }
+}
+
+/// A piped file has no one to retry, so stdin never sheds: a burst far
+/// past the default `--max-queue` of 256 is queued and answered in full.
+#[test]
+fn piped_burst_past_the_queue_bound_is_answered_not_shed() {
+    let artifact = write_tiny_artifact("burst.dma");
+    let line = r#"{"a":{"t":"kodak"},"b":{"t":"esp x"}}"#.to_string() + "\n";
+    assert_eq!(line.len(), 38);
+    let out = run_serve(&artifact, &[], &line.repeat(1000));
+    std::fs::remove_file(&artifact).unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(stdout.lines().count(), 1000, "one answer per line");
+    assert!(!stdout.contains("overloaded"), "stdin must not shed");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("scored 1000 pairs"),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -1,20 +1,20 @@
 //! Integration tests for the nonblocking serving core: the
-//! non-reading-client regression (the accept-stall bug this PR fixes),
-//! response identity between the event loop and the blocking stdin path,
-//! hot artifact reload, and a property test that cross-connection
-//! batching cannot change predictions.
+//! non-reading-client regression (a reject must never stall accepts),
+//! response identity between a TCP connection and the piped-stream
+//! entry point, hot artifact reload, and a property test that
+//! cross-connection batching cannot change predictions.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use dader_bench::{
-    serve_event_loop, serve_tcp, MatchServer, ModelRegistry, ServeLimits, TcpServeConfig,
+    serve_event_loop, serve_stream, MatchServer, ModelRegistry, ServeLimits, TcpServeConfig,
 };
 use dader_core::artifact::ModelArtifact;
-use dader_core::{DaderModel, LmExtractor, Matcher};
+use dader_core::{DaderModel, InferenceModel, LmExtractor, Matcher};
 use dader_nn::TransformerConfig;
 use dader_text::{PairEncoder, Vocab};
 use proptest::prelude::*;
@@ -67,21 +67,26 @@ fn fast_cfg() -> TcpServeConfig {
 
 type ServerHandle = std::thread::JoinHandle<std::io::Result<usize>>;
 
-fn start(core: &str, cfg: TcpServeConfig) -> (std::net::SocketAddr, Arc<AtomicBool>, ServerHandle) {
+fn start(cfg: TcpServeConfig) -> (std::net::SocketAddr, Arc<AtomicBool>, ServerHandle) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let handle = {
         let stop = Arc::clone(&stop);
-        let core = core.to_string();
-        std::thread::spawn(move || match core.as_str() {
-            "event_loop" => {
-                serve_event_loop(Arc::new(ModelRegistry::new(tiny_server(3))), listener, cfg, stop)
-            }
-            _ => serve_tcp(Arc::new(tiny_server(3)), listener, cfg, stop),
-        })
+        let registry = Arc::new(ModelRegistry::new(tiny_server(3)));
+        std::thread::spawn(move || serve_event_loop(registry, listener, cfg, stop))
     };
     (addr, stop, handle)
+}
+
+/// Serve `input` as one piped stream through [`serve_stream`] on a
+/// seed-3 server; returns the response lines.
+fn serve_piped(input: &str, cfg: TcpServeConfig) -> Vec<String> {
+    let registry = Arc::new(ModelRegistry::new(tiny_server(3)));
+    let mut out = Vec::new();
+    let input = std::io::Cursor::new(input.to_string());
+    serve_stream(registry, input, &mut out, cfg).unwrap();
+    String::from_utf8(out).unwrap().lines().map(str::to_string).collect()
 }
 
 fn connect(addr: std::net::SocketAddr) -> TcpStream {
@@ -99,58 +104,56 @@ fn pair_line(i: usize) -> String {
 
 /// The headline regression: clients that connect at the connection cap
 /// and never read their socket must not stall the accept path — rejects
-/// are never blocking writes. Asserted against BOTH serving cores.
+/// are never blocking writes.
 #[test]
 fn non_reading_clients_at_cap_do_not_stall_accepts() {
-    for core in ["event_loop", "thread_per_conn"] {
-        let cfg = TcpServeConfig {
-            max_conns: 1,
-            batch_size: 1,
-            ..fast_cfg()
-        };
-        let (addr, stop, handle) = start(core, cfg);
+    let cfg = TcpServeConfig {
+        max_conns: 1,
+        batch_size: 1,
+        ..fast_cfg()
+    };
+    let (addr, stop, handle) = start(cfg);
 
-        // Occupy the single serving slot and keep it demonstrably live.
-        let mut holder = connect(addr);
-        holder.write_all(pair_line(0).as_bytes()).unwrap();
-        let mut holder_reader = BufReader::new(holder.try_clone().unwrap());
-        let mut line = String::new();
-        holder_reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"match\""), "{core}: scored response, got {line}");
+    // Occupy the single serving slot and keep it demonstrably live.
+    let mut holder = connect(addr);
+    holder.write_all(pair_line(0).as_bytes()).unwrap();
+    let mut holder_reader = BufReader::new(holder.try_clone().unwrap());
+    let mut line = String::new();
+    holder_reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"match\""), "scored response, got {line}");
 
-        // A pile of over-cap clients that never read a byte. Before the
-        // fix, the first of these wedged the accept thread inside a
-        // blocking `overloaded` write with no timeout applied.
-        let silent: Vec<TcpStream> = (0..8).map(|_| connect(addr)).collect();
+    // A pile of over-cap clients that never read a byte. Before the
+    // fix, the first of these wedged the accept thread inside a
+    // blocking `overloaded` write with no timeout applied.
+    let silent: Vec<TcpStream> = (0..8).map(|_| connect(addr)).collect();
 
-        // The accept path must still answer a client that DOES read: it
-        // gets the typed reject promptly, not a stall behind the silent
-        // pile.
-        let reject_probe = connect(addr);
-        let mut probe_reader = BufReader::new(reject_probe);
-        let mut rej = String::new();
-        probe_reader.read_line(&mut rej).unwrap();
-        let v: Value = serde_json::from_str(rej.trim()).unwrap();
-        assert_eq!(
-            v.get("code").unwrap(),
-            &Value::String("overloaded".into()),
-            "{core}: {rej}"
-        );
-        assert_eq!(v.get("retryable").unwrap(), &Value::Bool(true), "{core}");
+    // The accept path must still answer a client that DOES read: it
+    // gets the typed reject promptly, not a stall behind the silent
+    // pile.
+    let reject_probe = connect(addr);
+    let mut probe_reader = BufReader::new(reject_probe);
+    let mut rej = String::new();
+    probe_reader.read_line(&mut rej).unwrap();
+    let v: Value = serde_json::from_str(rej.trim()).unwrap();
+    assert_eq!(
+        v.get("code").unwrap(),
+        &Value::String("overloaded".into()),
+        "{rej}"
+    );
+    assert_eq!(v.get("retryable").unwrap(), &Value::Bool(true));
 
-        // And the slot still serves: the holder scores another pair.
-        holder.write_all(pair_line(1).as_bytes()).unwrap();
-        let mut line2 = String::new();
-        holder_reader.read_line(&mut line2).unwrap();
-        assert!(line2.contains("\"match\""), "{core}: held connection still served");
+    // And the slot still serves: the holder scores another pair.
+    holder.write_all(pair_line(1).as_bytes()).unwrap();
+    let mut line2 = String::new();
+    holder_reader.read_line(&mut line2).unwrap();
+    assert!(line2.contains("\"match\""), "held connection still served");
 
-        drop(silent);
-        drop(holder_reader);
-        drop(holder);
-        stop.store(true, Ordering::Relaxed);
-        let scored = handle.join().unwrap().unwrap();
-        assert_eq!(scored, 2, "{core}: both held-connection requests scored");
-    }
+    drop(silent);
+    drop(holder_reader);
+    drop(holder);
+    stop.store(true, Ordering::Relaxed);
+    let scored = handle.join().unwrap().unwrap();
+    assert_eq!(scored, 2, "both held-connection requests scored");
 }
 
 /// Strip the per-run envelope (rid, latency, model version) so payloads
@@ -167,8 +170,8 @@ fn stable(line: &str) -> Value {
     Value::Object(kvs)
 }
 
-/// One connection through the event loop answers exactly like the
-/// blocking stdin path: same bodies, same order, same error objects,
+/// One TCP connection answers exactly like the same stream piped through
+/// [`serve_stream`]: same bodies, same order, same error objects,
 /// bitwise-equal probabilities — for a stream mixing valid pairs,
 /// malformed lines, and a whole-table request.
 #[test]
@@ -187,19 +190,13 @@ fn event_loop_responses_match_stdin_serving() {
     ));
     input.push_str(&pair_line(12));
 
-    // Reference: the blocking stdin path on an identically seeded server.
-    let reference = tiny_server(3);
-    let mut ref_out = Vec::new();
-    reference
-        .handle(std::io::Cursor::new(input.clone()), &mut ref_out, 8)
-        .unwrap();
-    let expected: Vec<Value> = String::from_utf8(ref_out)
-        .unwrap()
-        .lines()
-        .map(stable)
+    // Reference: the piped stream on an identically seeded server.
+    let expected: Vec<Value> = serve_piped(&input, fast_cfg())
+        .iter()
+        .map(|l| stable(l))
         .collect();
 
-    let (addr, stop, handle) = start("event_loop", fast_cfg());
+    let (addr, stop, handle) = start(fast_cfg());
     let mut conn = connect(addr);
     conn.write_all(input.as_bytes()).unwrap();
     conn.shutdown(Shutdown::Write).unwrap();
@@ -220,7 +217,7 @@ fn event_loop_responses_match_stdin_serving() {
 /// increase within the connection no matter how batches interleave.
 #[test]
 fn event_loop_stamps_version_and_monotone_rids() {
-    let (addr, stop, handle) = start("event_loop", fast_cfg());
+    let (addr, stop, handle) = start(fast_cfg());
     let mut conn = connect(addr);
     let mut input = String::new();
     for i in 0..20 {
@@ -354,7 +351,7 @@ fn hot_reload_swaps_version_with_zero_dropped_requests() {
 /// every response, and the stage clocks nest inside the end-to-end clock.
 #[test]
 fn event_loop_timings_nest_inside_latency() {
-    let (addr, stop, handle) = start("event_loop", fast_cfg());
+    let (addr, stop, handle) = start(fast_cfg());
     let mut conn = connect(addr);
     let mut input = String::new();
     for i in 0..10 {
@@ -408,7 +405,7 @@ fn idle_server_answers_before_the_flush_deadline() {
         flush_us: 200_000,
         ..fast_cfg()
     };
-    let (addr, stop, handle) = start("event_loop", cfg);
+    let (addr, stop, handle) = start(cfg);
     let mut conn = connect(addr);
     let mut reader = BufReader::new(conn.try_clone().unwrap());
     for i in 0..3 {
@@ -427,6 +424,61 @@ fn idle_server_answers_before_the_flush_deadline() {
     drop(conn);
     stop.store(true, Ordering::Relaxed);
     assert_eq!(handle.join().unwrap().unwrap(), 3);
+}
+
+/// An output nobody reads. Its first write waits until the input count
+/// has stood still for half a second, then fails like a closed stdout:
+/// `BrokenPipe` if the input stopped, `TimedOut` if it still flowed
+/// after 20 s.
+struct StalledOutput(Arc<AtomicUsize>);
+
+impl Write for StalledOutput {
+    fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+        let (mut last, mut still) = (usize::MAX, 0);
+        for _ in 0..80 {
+            std::thread::sleep(Duration::from_millis(250));
+            let fed = self.0.load(Ordering::Relaxed);
+            still = if fed == last { still + 1 } else { 0 };
+            if still == 2 {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            last = fed;
+        }
+        Err(std::io::ErrorKind::TimedOut.into())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Request lines without end, one per read, counting the bytes handed out.
+struct Endless(Arc<AtomicUsize>);
+
+impl Read for Endless {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let line = pair_line(0);
+        let n = buf.len().min(line.len());
+        buf[..n].copy_from_slice(&line.as_bytes()[..n]);
+        self.0.fetch_add(n, Ordering::Relaxed);
+        Ok(n)
+    }
+}
+
+/// A piped stream whose answers nobody reads stops taking input, so the
+/// server's memory stays bounded; the failed output then ends the stream
+/// with its error.
+#[test]
+fn stalled_output_pauses_a_piped_stream() {
+    let fed = Arc::new(AtomicUsize::new(0));
+    let input = Endless(Arc::clone(&fed));
+    let registry = Arc::new(ModelRegistry::new(tiny_server(3)));
+    let err = serve_stream(registry, input, StalledOutput(fed), fast_cfg()).unwrap_err();
+    assert_eq!(
+        err.kind(),
+        std::io::ErrorKind::BrokenPipe,
+        "input kept flowing while no answer could be written"
+    );
 }
 
 /// CPU time the thread `tid` of this process has used so far.
@@ -494,14 +546,16 @@ fn idle_event_loop_uses_almost_no_cpu() {
 
 // ---------------------------------------------------------------------
 // Property: pooling requests across connections is invisible in the
-// results — every client gets bitwise the predictions the blocking
-// per-connection path would have produced, regardless of how the
+// results — every client gets bitwise the responses its stream gets when
+// served alone, unbatched, and bitwise the probabilities of the
+// in-process `InferenceModel::predict_pairs`, regardless of how the
 // requests interleave into shared batches. With tracing armed, every
 // response's rid must also own a complete, monotonically ordered set of
 // stage spans in the trace ring.
 // ---------------------------------------------------------------------
 
-static SHARED: OnceLock<MatchServer> = OnceLock::new();
+/// The seed-3 model outside any serving code.
+static REFERENCE: OnceLock<(InferenceModel, PairEncoder)> = OnceLock::new();
 
 fn title() -> impl Strategy<Value = String> {
     proptest::collection::vec(proptest::sample::select(WORDS.to_vec()), 1..4)
@@ -558,7 +612,6 @@ proptest! {
         conns in 1usize..5,
         batch_size in 1usize..10,
     ) {
-        let reference = SHARED.get_or_init(|| tiny_server(3));
 
         // Arm tracing (sample every request) so the batching property also
         // proves stage-span completeness. Other tests in this binary may
@@ -573,20 +626,18 @@ proptest! {
             ));
         }
 
-        // Reference: each stream through the blocking per-connection path.
-        let mut expected: Vec<Vec<Value>> = Vec::new();
-        for s in &streams {
-            let mut out = Vec::new();
-            reference
-                .handle(std::io::Cursor::new(s.clone()), &mut out, batch_size)
-                .unwrap();
-            expected.push(String::from_utf8(out).unwrap().lines().map(stable).collect());
-        }
+        // Reference: each stream served alone — one connection, batch
+        // size 1, so nothing is pooled.
+        let alone = TcpServeConfig { batch_size: 1, ..fast_cfg() };
+        let expected: Vec<Vec<Value>> = streams
+            .iter()
+            .map(|s| serve_piped(s, alone).iter().map(|l| stable(l)).collect())
+            .collect();
 
         // Same streams, concurrently, through one event loop (same seed,
         // same batch width) — so batches pool across the connections.
         let cfg = TcpServeConfig { batch_size, ..fast_cfg() };
-        let (addr, stop, handle) = start("event_loop", cfg);
+        let (addr, stop, handle) = start(cfg);
         let clients: Vec<_> = streams
             .iter()
             .map(|s| {
@@ -607,6 +658,29 @@ proptest! {
         for (c, (lines, e)) in raw.iter().zip(&expected).enumerate() {
             let g: Vec<Value> = lines.iter().map(|l| stable(l)).collect();
             prop_assert_eq!(&g, e, "connection {} diverged from per-connection serving", c);
+        }
+
+        // And every answer is bitwise the library's own prediction.
+        let (model, encoder) = REFERENCE.get_or_init(|| {
+            let (model, encoder) = tiny_model(3);
+            (InferenceModel::from_model(&model), encoder)
+        });
+        let pairs: Vec<dader_core::EntityPair> = titles
+            .iter()
+            .map(|(a, b)| {
+                (
+                    vec![("title".to_string(), a.clone())],
+                    vec![("title".to_string(), b.clone())],
+                )
+            })
+            .collect();
+        let preds = model.predict_pairs(&pairs, encoder, 1);
+        for line in raw.iter().flatten() {
+            let v: Value = serde_json::from_str(line).unwrap();
+            let i = v.get("id").unwrap().as_i64().unwrap() as usize;
+            let (label, prob) = preds[i];
+            prop_assert_eq!(v.get("probability").unwrap().as_f64(), Some(prob as f64));
+            prop_assert_eq!(v.get("match"), Some(&Value::Bool(label == 1)));
         }
 
         // Every response's rid owns a complete, ordered stage-span set.

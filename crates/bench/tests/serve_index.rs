@@ -7,12 +7,14 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use dader_bench::{serve_event_loop, MatchServer, ModelRegistry, ServeLimits, TcpServeConfig};
 use dader_block::{StreamKind, StreamingIndex};
+use dader_core::artifact::ModelArtifact;
 use dader_core::{DaderModel, LmExtractor, Matcher};
 use dader_datagen::Entity;
 use dader_nn::TransformerConfig;
@@ -25,7 +27,7 @@ const WORDS: [&str; 8] = [
     "kodak", "esp", "printer", "hp", "laserjet", "canon", "pixma", "wireless",
 ];
 
-fn tiny_server(seed: u64) -> MatchServer {
+fn tiny_model(seed: u64) -> (DaderModel, PairEncoder) {
     let vocab = Vocab::build(WORDS, 1, 100);
     let encoder = PairEncoder::new(vocab.clone(), 24);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -41,6 +43,11 @@ fn tiny_server(seed: u64) -> MatchServer {
         extractor: Box::new(LmExtractor::new(cfg, &mut rng)),
         matcher: Matcher::new(16, &mut rng),
     };
+    (model, encoder)
+}
+
+fn tiny_server(seed: u64) -> MatchServer {
+    let (model, encoder) = tiny_model(seed);
     MatchServer::new(model, encoder, format!("serve index test {seed}"))
 }
 
@@ -413,28 +420,90 @@ fn index_modes_without_an_index_fail_with_typed_errors() {
     handle.join().unwrap().unwrap();
 }
 
-/// The blocking stdin path has no registry, hence no index: every index
-/// mode is refused with an error pointing at `--listen --index`.
+/// Stdin runs the same core as a socket, so it serves the index modes:
+/// with `--index` loaded, `match_record` and `index_upsert` are answered;
+/// without one, every index mode gets the socket's typed "no index
+/// loaded" error and pair lines still score.
 #[test]
 fn stdin_path_refuses_index_modes() {
-    let server = tiny_server(3);
+    let artifact = std::env::temp_dir().join(format!(
+        "dader_serve_index_{}_stdin.dma",
+        std::process::id()
+    ));
+    let (model, encoder) = tiny_model(3);
+    ModelArtifact::capture("stdin index test", &model, &encoder)
+        .save_file(&artifact)
+        .unwrap();
+    let index = save_index("stdin", StreamKind::TfIdf, &corpus());
     let input = concat!(
-        "{\"mode\": \"match_record\", \"record\": {\"title\": \"kodak\"}}\n",
-        "{\"mode\": \"match_table\", \"left\": [{\"title\": \"kodak\"}]}\n",
+        "{\"mode\": \"match_record\", \"record\": {\"title\": \"kodak esp\"}, \"threshold\": 0.0}\n",
+        "{\"mode\": \"index_upsert\", \"record_id\": \"b9\", \"record\": {\"title\": \"hp\"}}\n",
         "{\"id\": 9, \"a\": {\"title\": \"kodak\"}, \"b\": {\"title\": \"kodak\"}}\n",
     );
-    let mut out = Vec::new();
-    server.handle(std::io::Cursor::new(input), &mut out, 8).unwrap();
-    let lines: Vec<Value> = String::from_utf8(out)
+    let with_index = serve_stdin(&artifact, &["--index", index.to_str().unwrap()], input);
+    let without = serve_stdin(&artifact, &[], input);
+    std::fs::remove_file(&artifact).ok();
+    std::fs::remove_file(&index).ok();
+
+    assert_eq!(with_index.len(), 3, "one response per line: {with_index:?}");
+    let record = &with_index[0];
+    assert!(record.get("error").is_none(), "{record:?}");
+    assert!(!record
+        .get("matches")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .is_empty());
+    let upsert = &with_index[1];
+    assert_eq!(upsert.get("upserted").unwrap(), &Value::String("b9".into()));
+    assert_eq!(int(upsert, "records"), 5);
+    assert_eq!(upsert.get("replaced").unwrap(), &Value::Bool(false));
+
+    assert_eq!(without.len(), 3, "one response per line: {without:?}");
+    for v in &without[..2] {
+        assert_eq!(
+            v.get("code").unwrap(),
+            &Value::String("invalid_request".into()),
+            "{v:?}"
+        );
+        let msg = v.get("error").unwrap().as_str().unwrap();
+        assert!(msg.contains("no index loaded"), "{msg}");
+    }
+    for out in [&with_index, &without] {
+        assert!(
+            out[2].get("match").is_some(),
+            "pair line still scored: {:?}",
+            out[2]
+        );
+    }
+}
+
+/// Run `dader-serve <artifact> <args>` with `input` on stdin; one parsed
+/// value per response line.
+fn serve_stdin(artifact: &Path, args: &[&str], input: &str) -> Vec<Value> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dader-serve"))
+        .arg(artifact)
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dader-serve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout)
         .unwrap()
         .lines()
         .map(|l| serde_json::from_str(l).unwrap())
-        .collect();
-    assert_eq!(lines.len(), 3, "one response per line");
-    for v in &lines[..2] {
-        assert_eq!(v.get("code").unwrap(), &Value::String("invalid_request".into()), "{v:?}");
-        let msg = v.get("error").unwrap().as_str().unwrap();
-        assert!(msg.contains("stdin stream has no index"), "{msg}");
-    }
-    assert!(lines[2].get("match").is_some(), "pair line still scored: {:?}", lines[2]);
+        .collect()
 }
