@@ -1,6 +1,12 @@
-//! Cross-connection dynamic batching: the queue that pools parsed
+//! Cross-connection dynamic batching: the queue that pools decoded
 //! requests from *all* connections into shared inference batches, and the
 //! worker thread that scores them.
+//!
+//! A queued [`WorkItem`] holds the [`Request`] just as
+//! [`decode`](super::protocol::decode) produced it, and the worker
+//! answers it with the [`Completed`] response that the event loop parks
+//! on its connection as is. Every error the worker answers with names the
+//! request's `line`.
 //!
 //! The [`Batcher`] decides *when* to flush, and the policy is
 //! work-conserving: while no batch is in flight the scorer is idle, so
@@ -12,11 +18,11 @@
 //! everything. Every flush is counted under its trigger in
 //! `serve_flush_reason_total{reason=…}`.
 //!
-//! The [`InferenceWorker`] owns the model snapshot handed to it per job
-//! (an `Arc<VersionedModel>` — hot reloads never invalidate a batch
-//! mid-flight) and contains panics: a poisoned batch is answered with
-//! `internal` error objects and counted in `serve_worker_panics_total`
-//! instead of killing the serving thread.
+//! The inference worker ([`spawn_inference_worker`]) owns the model
+//! snapshot handed to it per job (an `Arc<VersionedModel>` — hot reloads
+//! never invalidate a batch mid-flight) and contains panics: a poisoned
+//! batch is answered with `internal` error objects and counted in
+//! `serve_worker_panics_total` instead of killing the serving thread.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,14 +31,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dader_block::Blocker;
-use serde::Value;
 
+use super::conn::Completed;
 use super::poll::Waker;
-use super::registry::{SharedIndex, VersionedModel};
-use super::{
-    admission, error_body, metrics, pair_body, panic_message, predict_contained, record_body,
-    table_body, ErrorCode, RecordMatch, RecordRequest, TableRequest, Timeline,
+use super::protocol::{
+    error_body, pair_body, record_body, table_body, ErrorCode, Op, RecordMatch, Request,
 };
+use super::registry::{SharedIndex, VersionedModel};
+use super::{admission, metrics, panic_message, predict_contained, Timeline};
 
 /// Why a batch left the queue. The wire label of each variant feeds
 /// `serve_flush_reason_total`.
@@ -64,23 +70,7 @@ impl FlushReason {
     }
 }
 
-/// What one queued request needs scored.
-pub(crate) enum WorkKind {
-    /// A single pair-match request.
-    Pair {
-        id: Option<Value>,
-        a: Vec<(String, String)>,
-        b: Vec<(String, String)>,
-    },
-    /// A whole-table `match_table` request.
-    Table(Box<TableRequest>),
-    /// A single-record `match_record` probe against the shared index. Its
-    /// candidate pairs ride the batch's shared forward pass alongside the
-    /// pair items — no dedicated inference interval.
-    Record(Box<RecordRequest>),
-}
-
-/// One parsed request waiting for (or riding in) an inference batch,
+/// One decoded request waiting for (or riding in) an inference batch,
 /// addressed back to its connection by `(conn, seq)`.
 pub(crate) struct WorkItem {
     /// Event-loop connection id.
@@ -90,24 +80,15 @@ pub(crate) struct WorkItem {
     /// Stage clock, started when the request line was read; the batcher
     /// and worker stamp their stages onto it as the request advances.
     pub(crate) timeline: Timeline,
-    pub(crate) kind: WorkKind,
+    /// The request as [`decode`](super::protocol::decode) produced it.
+    pub(crate) req: Request,
 }
 
 /// One finished request on its way back to the event loop.
 pub(crate) struct Done {
     pub(crate) conn: usize,
     pub(crate) seq: u64,
-    /// The request's completed stage clock (timings / trace source).
-    pub(crate) timeline: Timeline,
-    /// Response body (envelope — rid/latency/version — is stamped by the
-    /// connection writer so per-stream rid order holds).
-    pub(crate) body: Vec<(String, Value)>,
-    /// Version tag of the model that scored this request.
-    pub(crate) version: String,
-    /// Pairs this request contributed to the scored total.
-    pub(crate) scored: usize,
-    /// Whether `body` is an error object (counted in `serve_errors_total`).
-    pub(crate) is_error: bool,
+    pub(crate) done: Completed,
 }
 
 /// Batches in flight at which the scorer counts as saturated: the queue
@@ -134,7 +115,7 @@ impl Batcher {
     }
 
     pub(crate) fn push(&mut self, item: WorkItem) {
-        if matches!(item.kind, WorkKind::Table(_)) {
+        if matches!(item.req.op, Op::Table { .. }) {
             self.has_table = true;
         }
         self.queue.push_back(item);
@@ -206,7 +187,7 @@ impl Batcher {
         self.has_table = self
             .queue
             .iter()
-            .any(|w| matches!(w.kind, WorkKind::Table(_)));
+            .any(|w| matches!(w.req.op, Op::Table { .. }));
         items
     }
 }
@@ -280,20 +261,19 @@ fn run_job(job: &BatchJob) -> Vec<Done> {
                 job.items.len(),
                 panic_message(&*panic)
             );
+            let msg = "internal error while scoring this batch; retry";
             job.items
                 .iter()
                 .map(|w| Done {
                     conn: w.conn,
                     seq: w.seq,
-                    timeline: w.timeline,
-                    body: error_body(
-                        ErrorCode::Internal,
-                        "internal error while scoring this batch; retry",
-                        None,
-                    ),
-                    version: job.model.version.clone(),
-                    scored: 0,
-                    is_error: true,
+                    done: Completed {
+                        timeline: w.timeline,
+                        body: error_body(ErrorCode::Internal, msg, Some(w.req.lineno)),
+                        version: Some(job.model.version.clone()),
+                        scored: 0,
+                        is_error: true,
+                    },
                 })
                 .collect()
         }
@@ -333,16 +313,16 @@ fn score_items(job: &BatchJob) -> Vec<Done> {
     let mut record_preps: Vec<Option<RecordPrep>> = Vec::with_capacity(job.items.len());
     let mut pairs: Vec<dader_core::EntityPair> = Vec::new();
     for w in &job.items {
-        let prep = match &w.kind {
-            WorkKind::Record(req) if !expired(w) => job.index.as_ref().map(|idx| {
+        let prep = match &w.req.op {
+            Op::Record { record, k, .. } if !expired(w) => job.index.as_ref().map(|idx| {
                 metrics().index_hits.inc();
                 let probe = dader_datagen::Entity {
                     id: String::new(),
-                    attrs: req.record.clone(),
+                    attrs: record.clone(),
                 };
                 idx.with(|i| RecordPrep {
                     cands: i
-                        .candidates(&probe, req.k)
+                        .candidates(&probe, *k)
                         .into_iter()
                         .map(|c| {
                             let ent = i.get(c.right).expect("candidate ranks are live");
@@ -354,13 +334,13 @@ fn score_items(job: &BatchJob) -> Vec<Done> {
             }),
             _ => None,
         };
-        match (&w.kind, &prep) {
-            (WorkKind::Pair { a, b, .. }, _) if !expired(w) => {
+        match (&w.req.op, &prep) {
+            (Op::Pair { a, b }, _) if !expired(w) => {
                 pairs.push((a.clone(), b.clone()));
             }
-            (WorkKind::Record(req), Some(p)) => {
+            (Op::Record { record, .. }, Some(p)) => {
                 for (_, _, _, attrs) in &p.cands {
-                    pairs.push((req.record.clone(), attrs.clone()));
+                    pairs.push((record.clone(), attrs.clone()));
                 }
             }
             _ => {}
@@ -382,48 +362,36 @@ fn score_items(job: &BatchJob) -> Vec<Done> {
         .zip(record_preps)
         .map(|(w, prep)| {
             let mut timeline = w.timeline;
+            let fail =
+                |code: ErrorCode, msg: &str| (error_body(code, msg, Some(w.req.lineno)), 0, true);
             let (body, scored, is_error) = if expired(w) {
                 admission::count_shed("deadline");
-                (
-                    error_body(
-                        ErrorCode::DeadlineExceeded,
-                        "deadline exceeded before dispatch; request shed",
-                        None,
-                    ),
-                    0,
-                    true,
+                fail(
+                    ErrorCode::DeadlineExceeded,
+                    "deadline exceeded before dispatch; request shed",
                 )
             } else {
-                match &w.kind {
-                    WorkKind::Pair { id, .. } => {
+                match &w.req.op {
+                    Op::Pair { .. } => {
                         timeline.infer_start = Some(infer_start);
                         timeline.infer_end = Some(infer_end);
                         match preds.next().expect("one prediction slot per pair item") {
-                            Some((label, prob)) => (pair_body(id.clone(), label, prob), 1, false),
-                            None => (
-                                error_body(
-                                    ErrorCode::Internal,
-                                    "inference failed for this request; retry",
-                                    None,
-                                ),
-                                0,
-                                true,
+                            Some((label, prob)) => {
+                                (pair_body(w.req.id.clone(), label, prob), 1, false)
+                            }
+                            None => fail(
+                                ErrorCode::Internal,
+                                "inference failed for this request; retry",
                             ),
                         }
                     }
-                    WorkKind::Record(req) => {
+                    Op::Record { threshold, .. } => {
                         timeline.infer_start = Some(infer_start);
                         timeline.infer_end = Some(infer_end);
                         let out = match prep {
-                            None => (
-                                error_body(
-                                    ErrorCode::InvalidRequest,
-                                    "no index loaded; start dader-serve with --index \
-                                     or reload one",
-                                    None,
-                                ),
-                                0,
-                                true,
+                            None => fail(
+                                ErrorCode::InvalidRequest,
+                                "no index loaded; start dader-serve with --index or reload one",
                             ),
                             Some(p) => {
                                 // Consume this record's slice of the shared
@@ -438,8 +406,8 @@ fn score_items(job: &BatchJob) -> Vec<Done> {
                                         .expect("one prediction slot per candidate");
                                     if let Some((label, prob)) = slot {
                                         ok += 1;
-                                        let keep = match req.threshold {
-                                            Some(t) => prob >= t,
+                                        let keep = match threshold {
+                                            Some(t) => prob >= *t,
                                             None => label == 1,
                                         };
                                         if keep {
@@ -452,16 +420,9 @@ fn score_items(job: &BatchJob) -> Vec<Done> {
                                         }
                                     }
                                 }
-                                (
-                                    record_body(
-                                        req.id.clone(),
-                                        &matches,
-                                        p.cands.len(),
-                                        p.generation,
-                                    ),
-                                    ok,
-                                    false,
-                                )
+                                let id = w.req.id.clone();
+                                let body = record_body(id, &matches, p.cands.len(), p.generation);
+                                (body, ok, false)
                             }
                         };
                         metrics().match_record_latency_us.observe(
@@ -471,31 +432,37 @@ fn score_items(job: &BatchJob) -> Vec<Done> {
                         );
                         out
                     }
-                    WorkKind::Table(req) => {
+                    Op::Table {
+                        left,
+                        right,
+                        kind,
+                        k,
+                        threshold,
+                    } => {
                         timeline.infer_start = Some(Instant::now());
                         let attempt = catch_unwind(AssertUnwindSafe(|| {
                             dader_obs::fault::maybe_crash("serve.infer");
-                            match (&req.right, &job.index) {
+                            match (right, &job.index) {
                                 (Some(right), _) => {
                                     metrics().index_rebuilds.inc();
                                     Some(server.match_tables(
-                                        &req.left,
+                                        left,
                                         right,
-                                        req.kind,
-                                        req.k,
+                                        *kind,
+                                        *k,
                                         job.batch_size,
-                                        req.threshold,
+                                        *threshold,
                                     ))
                                 }
                                 (None, Some(idx)) => {
                                     metrics().index_hits.inc();
                                     Some(idx.with(|i| {
                                         server.match_tables_indexed(
-                                            &req.left,
+                                            left,
                                             i,
-                                            req.k,
+                                            *k,
                                             job.batch_size,
-                                            req.threshold,
+                                            *threshold,
                                         )
                                     }))
                                 }
@@ -506,46 +473,37 @@ fn score_items(job: &BatchJob) -> Vec<Done> {
                         match attempt {
                             Ok(Some(outcome)) => {
                                 metrics().scored_pairs.add(outcome.candidates as u64);
-                                (
-                                    table_body(req.id.clone(), &outcome),
-                                    outcome.candidates,
-                                    false,
-                                )
+                                let body = table_body(w.req.id.clone(), &outcome);
+                                (body, outcome.candidates, false)
                             }
-                            Ok(None) => (
-                                error_body(
-                                    ErrorCode::InvalidRequest,
-                                    "match_table without `right` needs a loaded index; \
-                                     start dader-serve with --index or reload one",
-                                    None,
-                                ),
-                                0,
-                                true,
+                            Ok(None) => fail(
+                                ErrorCode::InvalidRequest,
+                                "match_table without `right` needs a loaded index; \
+                                 start dader-serve with --index or reload one",
                             ),
                             Err(_) => {
                                 metrics().worker_panics.inc();
-                                (
-                                    error_body(
-                                        ErrorCode::Internal,
-                                        "inference failed for this request; retry",
-                                        None,
-                                    ),
-                                    0,
-                                    true,
+                                fail(
+                                    ErrorCode::Internal,
+                                    "inference failed for this request; retry",
                                 )
                             }
                         }
                     }
+                    _ => unreachable!("only batched requests are queued"),
                 }
+            };
+            let done = Completed {
+                timeline,
+                body,
+                version: Some(job.model.version.clone()),
+                scored,
+                is_error,
             };
             Done {
                 conn: w.conn,
                 seq: w.seq,
-                timeline,
-                body,
-                version: job.model.version.clone(),
-                scored,
-                is_error,
+                done,
             }
         })
         .collect()
@@ -555,6 +513,16 @@ fn score_items(job: &BatchJob) -> Vec<Done> {
 mod tests {
     use super::*;
 
+    fn request(op: Op) -> Request {
+        Request {
+            id: None,
+            lineno: 1,
+            timings: false,
+            deadline_ms: None,
+            op,
+        }
+    }
+
     fn pair_item(conn: usize, seq: u64, at: Instant) -> WorkItem {
         let mut timeline = Timeline::start(at);
         timeline.parsed = at; // tests drive the deadline clock via `at`
@@ -562,11 +530,10 @@ mod tests {
             conn,
             seq,
             timeline,
-            kind: WorkKind::Pair {
-                id: None,
+            req: request(Op::Pair {
                 a: vec![("title".into(), "kodak".into())],
                 b: vec![("title".into(), "esp".into())],
-            },
+            }),
         }
     }
 
@@ -655,16 +622,13 @@ mod tests {
             conn: 0,
             seq: 1,
             timeline: Timeline::start(now),
-            kind: WorkKind::Table(Box::new(TableRequest {
-                id: None,
+            req: request(Op::Table {
                 left: Vec::new(),
                 right: Some(Vec::new()),
                 kind: crate::matching::BlockerKind::Lsh,
                 k: 1,
                 threshold: None,
-                timings: false,
-                deadline_ms: None,
-            })),
+            }),
         });
         assert_eq!(b.should_flush(now, false, 1), Some(FlushReason::Table));
         b.take();

@@ -18,9 +18,8 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Instant;
 
-use serde::Value;
-
-use super::{error_body, metrics, stamp_and_finalize, ErrorCode, Timeline};
+use super::protocol::{error_body, Body, ErrorCode};
+use super::{metrics, stamp_and_finalize, Timeline};
 
 /// One event out of the line assembler.
 pub(crate) enum LineEvent {
@@ -100,22 +99,27 @@ impl LineAssembler {
 }
 
 /// A finished response parked until every earlier seq on its connection
-/// has drained.
+/// has drained — produced on the event loop, or by the inference worker
+/// for a batched request.
 pub(crate) struct Completed {
     /// The request's stage clock (latency, timings, trace spans).
     pub(crate) timeline: Timeline,
-    pub(crate) body: Vec<(String, Value)>,
+    /// Response body; the envelope (rid, latency, version) is stamped at
+    /// drain time so per-stream rid order holds.
+    pub(crate) body: Body,
     /// Model version tag to echo; `None` for responses no model produced
     /// (parse errors, timeouts).
     pub(crate) version: Option<String>,
+    /// Pairs this request contributed to the scored total.
     pub(crate) scored: usize,
+    /// Whether `body` is an error object (counted in `serve_errors_total`).
     pub(crate) is_error: bool,
 }
 
 impl Completed {
     /// A successful answer produced on the poller thread (no pairs
     /// scored), tagged with the serving model `version`.
-    pub(crate) fn ok(timeline: Timeline, body: Vec<(String, Value)>, version: String) -> Completed {
+    pub(crate) fn ok(timeline: Timeline, body: Body, version: String) -> Completed {
         Completed {
             timeline,
             body,
@@ -325,7 +329,7 @@ impl Conn {
             if done.is_error {
                 m.errors.inc();
             }
-            let text = stamp_and_finalize(done.body, &done.timeline, done.version.as_deref())?;
+            let text = stamp_and_finalize(done)?;
             self.out_buf.extend_from_slice(text.as_bytes());
             self.out_buf.push(b'\n');
         }

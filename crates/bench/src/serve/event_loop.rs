@@ -41,17 +41,14 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dader_obs::trace::{self, Stage};
-use serde::Value;
 
 use super::admission::{self, Admission};
-use super::batch::{spawn_inference_worker, BatchJob, Batcher, WorkItem, WorkKind};
+use super::batch::{spawn_inference_worker, BatchJob, Batcher, WorkItem};
 use super::conn::{Completed, Conn, DeadlineKind, Deadlines, LineEvent, Stream};
 use super::poll::Poller;
+use super::protocol::{self, ErrorCode, Op, Request};
 use super::registry::ModelRegistry;
-use super::{
-    error_body, metrics, next_rid, parse_request, status, ErrorCode, Parsed, ReloadTarget,
-    TcpServeConfig, Timeline,
-};
+use super::{metrics, next_rid, status, TcpServeConfig, Timeline};
 
 /// Longest single wait. Nothing signals a raised `stop` flag, so this
 /// bounds how late the loop notices it (and a dead inference worker).
@@ -182,8 +179,11 @@ fn run(
     let mut worker = spawn_inference_worker(Arc::clone(&job_rx), done_tx.clone(), poller.waker());
     let mut admission = Admission::new(cfg.max_queue);
 
+    // Uptime counts from the first serving core, not the first probe.
+    status::started();
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     if let Some(stream) = preaccepted {
+        metrics().conns_total.inc();
         conns.insert(0, Conn::new(stream, cfg.limits.max_line_bytes));
     }
     let mut next_conn_id = conns.len();
@@ -206,14 +206,7 @@ fn run(
                 // The connection may be gone (write timeout dropped it);
                 // its responses die quietly with it.
                 if let Some(c) = conns.get_mut(&d.conn) {
-                    let done = Completed {
-                        timeline: d.timeline,
-                        body: d.body,
-                        version: Some(d.version),
-                        scored: d.scored,
-                        is_error: d.is_error,
-                    };
-                    c.complete(d.seq, done);
+                    c.complete(d.seq, d.done);
                 }
             }
         }
@@ -263,18 +256,7 @@ fn run(
                             let mut c = Conn::new(Stream::Tcp(sock), cfg.limits.max_line_bytes);
                             c.rejected = true;
                             c.closing = true;
-                            let mut kvs = error_body(
-                                ErrorCode::Overloaded,
-                                &format!(
-                                    "server at connection cap ({}); retry later",
-                                    cfg.max_conns
-                                ),
-                                None,
-                            );
-                            kvs.push(("rid".to_string(), Value::Int(next_rid() as i64)));
-                            let line = serde_json::to_string(&Value::Object(kvs))
-                                .map_err(|e| std::io::Error::other(e.to_string()))?;
-                            c.enqueue_raw(&line);
+                            c.enqueue_raw(&protocol::conn_cap_line(cfg.max_conns, next_rid())?);
                             conns.insert(id, c);
                             continue;
                         }
@@ -322,38 +304,34 @@ fn run(
                 c.lineno += 1;
                 let lineno = c.lineno;
                 let arrival = Instant::now();
-                let parsed = match ev {
+                let decoded = match ev {
                     LineEvent::Line(line) if line.trim().is_empty() => continue,
-                    LineEvent::Line(line) => parse_request(&line, lineno),
-                    LineEvent::TooLong => Parsed::Err(
-                        ErrorCode::LineTooLong,
-                        format!(
-                            "line {lineno}: request exceeds {} bytes",
-                            cfg.limits.max_line_bytes
-                        ),
-                    ),
+                    LineEvent::Line(line) => protocol::decode(&line, lineno),
+                    LineEvent::TooLong => {
+                        let max = cfg.limits.max_line_bytes;
+                        let msg = format!("line {lineno}: request exceeds {max} bytes");
+                        Err((ErrorCode::LineTooLong, msg))
+                    }
                 };
                 let mut timeline = Timeline::start(arrival);
-                timeline.want_timings = parsed.wants_timings();
-                timeline.deadline = admission::resolve_deadline(
-                    arrival,
-                    parsed.deadline_ms(),
-                    cfg.limits.default_deadline,
-                );
                 let seq = c.alloc_seq();
-                let kind = match parsed {
-                    Parsed::Ok(req) => WorkKind::Pair {
-                        id: req.id,
-                        a: req.a,
-                        b: req.b,
-                    },
-                    Parsed::Table(req) => WorkKind::Table(req),
-                    Parsed::Record(req) => WorkKind::Record(req),
-                    other => {
-                        c.complete(seq, answer_inline(&registry, other, timeline, lineno));
+                let req = match decoded {
+                    Ok(req) => req,
+                    Err((code, msg)) => {
+                        c.complete(seq, Completed::error(timeline, code, &msg, Some(lineno)));
                         continue;
                     }
                 };
+                timeline.want_timings = req.timings;
+                timeline.deadline = admission::resolve_deadline(
+                    arrival,
+                    req.deadline_ms,
+                    cfg.limits.default_deadline,
+                );
+                if !req.op.is_batched() {
+                    c.complete(seq, answer_inline(&registry, req, timeline));
+                    continue;
+                }
                 // One read pass can assemble many lines after the
                 // watermark check; on a TCP connection those over the cap
                 // are answered `overloaded`, never queued.
@@ -368,7 +346,7 @@ fn run(
                         conn: id,
                         seq,
                         timeline,
-                        kind,
+                        req,
                     });
                 }
             }
@@ -451,9 +429,10 @@ fn run(
                 for w in job.items {
                     if let Some(c) = conns.get_mut(&w.conn) {
                         let msg = "inference worker unavailable; retry";
+                        let line = Some(w.req.lineno);
                         c.complete(
                             w.seq,
-                            Completed::error(w.timeline, ErrorCode::Internal, msg, None),
+                            Completed::error(w.timeline, ErrorCode::Internal, msg, line),
                         );
                     }
                 }
@@ -547,33 +526,22 @@ fn run(
 }
 
 /// Answer a request that never waits on a batch, on the poller thread:
-/// index mutations, reloads, status probes and parse errors.
-fn answer_inline(
-    registry: &Arc<ModelRegistry>,
-    parsed: Parsed,
-    timeline: Timeline,
-    lineno: usize,
-) -> Completed {
-    let with_id = |id: Option<Value>, fields: Vec<(&str, Value)>| -> Vec<(String, Value)> {
-        id.map(|v| ("id".to_string(), v))
-            .into_iter()
-            .chain(fields.into_iter().map(|(k, v)| (k.to_string(), v)))
-            .collect()
+/// index mutations, reloads and status probes.
+fn answer_inline(registry: &Arc<ModelRegistry>, req: Request, timeline: Timeline) -> Completed {
+    let Request { id, lineno, op, .. } = req;
+    let fail = |code: ErrorCode, msg: &str| {
+        let msg = format!("line {lineno}: {msg}");
+        Completed::error(timeline, code, &msg, Some(lineno))
     };
     let no_index = || {
-        let msg =
-            format!("line {lineno}: no index loaded; start dader-serve with --index or reload one");
-        Completed::error(timeline, ErrorCode::InvalidRequest, &msg, Some(lineno))
+        let msg = "no index loaded; start dader-serve with --index or reload one";
+        fail(ErrorCode::InvalidRequest, msg)
     };
-    match parsed {
+    let body = match op {
         // Mutations hold the index write lock only for the O(record)
         // slot append, and echo the bumped generation so the client can
         // correlate later probes.
-        Parsed::IndexUpsert {
-            id,
-            record_id,
-            record,
-        } => {
+        Op::IndexUpsert { record_id, record } => {
             let Some(index) = registry.index() else {
                 return no_index();
             };
@@ -581,79 +549,41 @@ fn answer_inline(
                 id: record_id.clone(),
                 attrs: record,
             });
-            let body = with_id(
-                id,
-                vec![
-                    ("upserted", Value::String(record_id)),
-                    ("replaced", Value::Bool(replaced)),
-                    ("records", Value::Int(records as i64)),
-                    ("generation", Value::Int(generation as i64)),
-                ],
-            );
-            Completed::ok(timeline, body, registry.version())
+            protocol::upsert_body(id, record_id, replaced, records, generation)
         }
-        Parsed::IndexDelete { id, record_id } => {
+        Op::IndexDelete { record_id } => {
             let Some(index) = registry.index() else {
                 return no_index();
             };
             let (deleted, generation, records) = index.delete(&record_id);
-            let body = with_id(
-                id,
-                vec![
-                    ("deleted", Value::Bool(deleted)),
-                    ("record_id", Value::String(record_id)),
-                    ("records", Value::Int(records as i64)),
-                    ("generation", Value::Int(generation as i64)),
-                ],
-            );
-            Completed::ok(timeline, body, registry.version())
+            protocol::delete_body(id, record_id, deleted, records, generation)
         }
         // The swap happens inline: the new artifact loads before any
         // further intake, and in-flight batches keep their snapshot.
-        Parsed::Reload(target) => {
-            let outcome =
-                match target {
-                    ReloadTarget::Model(path) => registry
-                        .reload(path.as_deref().map(Path::new))
-                        .map(|version| {
-                            crate::note!("dader-serve: hot reload -> {version}");
-                            vec![("reloaded", Value::Bool(true))]
-                        }),
-                    ReloadTarget::Index(path) => registry
-                        .reload_index(path.as_deref().map(Path::new))
-                        .map(|stats| {
-                            crate::note!(
-                                "dader-serve: index reload -> {} records, generation {}",
-                                stats.records,
-                                stats.generation
-                            );
-                            vec![
-                                ("reloaded", Value::Bool(true)),
-                                ("index_records", Value::Int(stats.records as i64)),
-                                ("generation", Value::Int(stats.generation as i64)),
-                            ]
-                        }),
-                };
-            match outcome {
-                Ok(fields) => Completed::ok(timeline, with_id(None, fields), registry.version()),
-                Err(msg) => {
-                    let msg = format!("line {lineno}: reload failed: {msg}");
-                    Completed::error(timeline, ErrorCode::Internal, &msg, Some(lineno))
-                }
+        Op::ReloadModel(path) => match registry.reload(path.as_deref().map(Path::new)) {
+            Ok(version) => {
+                crate::note!("dader-serve: hot reload -> {version}");
+                protocol::reload_body(id, None)
             }
-        }
+            Err(msg) => return fail(ErrorCode::Internal, &format!("reload failed: {msg}")),
+        },
+        Op::ReloadIndex(path) => match registry.reload_index(path.as_deref().map(Path::new)) {
+            Ok(stats) => {
+                crate::note!(
+                    "dader-serve: index reload -> {} records, generation {}",
+                    stats.records,
+                    stats.generation
+                );
+                protocol::reload_body(id, Some(&stats))
+            }
+            Err(msg) => return fail(ErrorCode::Internal, &format!("reload failed: {msg}")),
+        },
         // Answered from the live metrics: a status probe never waits on
         // a batch.
-        Parsed::Status => {
-            let body = vec![(
-                "status".to_string(),
-                status::status_snapshot(Some(registry)),
-            )];
-            Completed::ok(timeline, body, registry.version())
-        }
-        Parsed::Err(code, msg) => Completed::error(timeline, code, &msg, Some(lineno)),
-        Parsed::Ok(_) | Parsed::Table(_) | Parsed::Record(_) => {
+        Op::Status => protocol::status_body(id, status::status_snapshot(Some(registry))),
+        Op::Pair { .. } | Op::Table { .. } | Op::Record { .. } => {
             unreachable!("batched requests are queued, not answered inline")
         }
-    }
+    };
+    Completed::ok(timeline, body, registry.version())
 }

@@ -1,62 +1,20 @@
-//! Match serving: answer newline-delimited JSON pair-match requests with a
+//! Match serving: answer newline-delimited JSON match requests with a
 //! loaded [`ModelArtifact`] — the deployment half of the train-once /
 //! serve-many workflow (see the `dader-serve` binary).
 //!
-//! ## Protocol
-//!
-//! One JSON object per input line:
-//!
-//! ```json
-//! {"id": 7, "a": {"title": "kodak esp 5250"}, "b": {"title": "kodak esp"}}
-//! ```
-//!
-//! `a` and `b` are attribute → value objects (attribute order matters: it
-//! is the serialization order of Example 1, so clients should send
-//! attributes in the schema order the model was trained with). `id` is
-//! optional and echoed back verbatim. One JSON object per output line, in
-//! input order:
-//!
-//! ```json
-//! {"id": 7, "match": true, "probability": 0.93}
-//! ```
-//!
-//! Malformed lines produce an error object in the same position instead of
-//! killing the stream:
-//!
-//! ```json
-//! {"error": "line 3: `a` must be an object of string attributes",
-//!  "code": "invalid_request", "retryable": false, "line": 3}
-//! ```
-//!
-//! A request line with `"mode": "match_table"` matches two whole tables
-//! instead of one pair: `left` and `right` are arrays of attribute
-//! objects, optional `blocker` (`topk`/`lsh`), `k` and `threshold` tune
-//! candidate generation, and the response carries a `matches` array plus
-//! the `candidates` count:
-//!
-//! ```json
-//! {"mode": "match_table", "left": [{"title": "kodak esp"}],
-//!  "right": [{"title": "kodak esp 5250"}], "blocker": "lsh", "k": 5}
-//! ```
-//!
-//! Every error object carries a machine-readable `code` from a fixed
-//! taxonomy — `invalid_json`, `invalid_request`, `line_too_long`,
-//! `timeout`, `overloaded`, `internal` — plus a `retryable` flag
-//! (see [`ErrorCode`]). Stream-level conditions (`timeout`, `overloaded`)
-//! omit `line`. Input lines are framed by a bounded assembler
-//! ([`ServeLimits::max_line_bytes`]): an oversized line is drained and
-//! answered with `line_too_long` rather than buffered without limit.
+//! [`protocol`] holds the wire format: one `decode` for every request
+//! mode, and the encoders of every response. Input lines are framed by a
+//! bounded assembler ([`ServeLimits::max_line_bytes`]): an oversized line
+//! is drained and answered with `line_too_long` rather than buffered
+//! without limit.
 //!
 //! One serving core answers every transport: [`serve_event_loop`] for
 //! TCP clients and [`serve_stream`] for a single piped stream (the
 //! `dader-serve` stdin mode), which rides the same loop as one
-//! pre-accepted connection.
+//! pre-accepted connection. Batched requests are scored by the
+//! [`batch`] worker; the rest are answered on the event loop.
 //!
-//! Every response (success or error) additionally carries `rid` — a
-//! monotonically increasing server-side request id, unique across
-//! connections — and `latency_us`, the server-side microseconds from
-//! reading the request line to writing its response (batching wait
-//! included). The same requests feed the always-on serving metrics
+//! The served requests feed the always-on serving metrics
 //! (`serve_request_latency_us`, `serve_batch_size`, `serve_requests_total`,
 //! `serve_errors_total`) that `dader-serve --metrics-addr` exposes.
 
@@ -65,10 +23,12 @@ pub mod batch;
 pub mod conn;
 pub mod event_loop;
 mod poll;
+pub mod protocol;
 pub mod registry;
 pub mod status;
 
 pub use event_loop::{serve_event_loop, serve_stream};
+pub use protocol::ErrorCode;
 pub use registry::{ModelRegistry, VersionedModel};
 pub use status::spawn_status_endpoint;
 
@@ -82,7 +42,6 @@ use dader_core::{DaderModel, InferenceModel};
 use dader_obs::trace::{self, Stage};
 use dader_obs::{Counter, Gauge, Histogram, WindowedHistogram};
 use dader_text::PairEncoder;
-use serde::Value;
 
 /// Next request id; process-global so ids stay unique and monotone across
 /// connections and servers.
@@ -281,49 +240,30 @@ fn version_generation(version: Option<&str>) -> u64 {
 }
 
 /// Finish one response: claim its `rid`, observe the lifetime and
-/// windowed latency histograms, append the `timings` breakdown when the
-/// client asked for one, emit this request's trace spans (the rid exists
-/// only from here on), and serialize the response line. Called from each
+/// windowed latency histograms, emit this request's trace spans (the rid
+/// exists only from here on), and encode the response line with its
+/// `timings` breakdown when the client asked for one. Called from each
 /// connection's ordered drain.
-pub(crate) fn stamp_and_finalize(
-    mut body: Vec<(String, Value)>,
-    timeline: &Timeline,
-    version: Option<&str>,
-) -> std::io::Result<String> {
+pub(crate) fn stamp_and_finalize(done: conn::Completed) -> std::io::Result<String> {
     let m = metrics();
     let now = Instant::now();
+    let timeline = &done.timeline;
+    let version = done.version.as_deref();
     let latency_us = now.saturating_duration_since(timeline.arrival).as_micros();
     m.latency_us.observe(latency_us as f64);
     m.latency_window.observe_at(latency_us as f64, now);
-    if !body.iter().any(|(k, _)| k == "error") {
+    if !done.is_error {
         m.goodput_window.observe_at(latency_us as f64, now);
     }
     let rid = next_rid();
-    if timeline.want_timings {
-        body.push((
-            "timings".to_string(),
-            Value::Object(vec![
-                (
-                    "queue_us".to_string(),
-                    Value::Int(timeline.queue_us() as i64),
-                ),
-                (
-                    "batch_wait_us".to_string(),
-                    Value::Int(timeline.batch_wait_us() as i64),
-                ),
-                (
-                    "infer_us".to_string(),
-                    Value::Int(timeline.infer_us() as i64),
-                ),
-                (
-                    "write_us".to_string(),
-                    Value::Int(
-                        now.saturating_duration_since(timeline.write_start()).as_micros() as i64,
-                    ),
-                ),
-            ]),
-        ));
-    }
+    let timings = timeline.want_timings.then(|| protocol::Timings {
+        queue_us: timeline.queue_us(),
+        batch_wait_us: timeline.batch_wait_us(),
+        infer_us: timeline.infer_us(),
+        write_us: now
+            .saturating_duration_since(timeline.write_start())
+            .as_micros() as u64,
+    });
     if timeline.traced && trace::enabled() {
         let t = timeline;
         let reason_idx = t.reason.map(|r| r as u64).unwrap_or(0);
@@ -353,58 +293,7 @@ pub(crate) fn stamp_and_finalize(
         }
         trace::record(rid, Stage::Write, t.write_start(), now, 0, 0);
     }
-    finalize_response(body, rid, latency_us, version)
-}
-
-/// Typed error taxonomy for the line protocol. Every error object carries
-/// the machine-readable `code` plus a `retryable` flag so clients can
-/// distinguish "fix your request" from "back off and try again".
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// The line was not valid JSON.
-    InvalidJson,
-    /// Valid JSON, but not a valid match request.
-    InvalidRequest,
-    /// The line exceeded the server's `max_line_bytes` limit.
-    LineTooLong,
-    /// The connection idled past the read timeout.
-    Timeout,
-    /// The server is at its connection cap, or its admission queue is
-    /// full (load shedding) — back off and retry.
-    Overloaded,
-    /// The request's deadline (its `deadline_ms` field, or the server's
-    /// `--default-deadline-ms`) passed before it could be scored; it was
-    /// shed instead of wasting inference cycles on a stale answer.
-    DeadlineExceeded,
-    /// A server-side failure unrelated to the request.
-    Internal,
-}
-
-impl ErrorCode {
-    /// The wire name of this code.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::InvalidJson => "invalid_json",
-            ErrorCode::InvalidRequest => "invalid_request",
-            ErrorCode::LineTooLong => "line_too_long",
-            ErrorCode::Timeout => "timeout",
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::DeadlineExceeded => "deadline_exceeded",
-            ErrorCode::Internal => "internal",
-        }
-    }
-
-    /// Whether retrying the same request can succeed. Client mistakes are
-    /// permanent; server-side conditions (load, timeouts) are transient.
-    pub fn retryable(self) -> bool {
-        matches!(
-            self,
-            ErrorCode::Timeout
-                | ErrorCode::Overloaded
-                | ErrorCode::DeadlineExceeded
-                | ErrorCode::Internal
-        )
-    }
+    protocol::finalize_response(done.body, timings, rid, latency_us, version)
 }
 
 /// Per-connection resource limits. The defaults are generous for real
@@ -450,252 +339,6 @@ pub struct MatchServer {
     pub description: String,
 }
 
-/// One parsed pair-match request: echoed id, the two entities, and
-/// whether the client asked for a `timings` breakdown on the response.
-pub(crate) struct PairRequest {
-    pub(crate) id: Option<Value>,
-    pub(crate) a: Vec<(String, String)>,
-    pub(crate) b: Vec<(String, String)>,
-    pub(crate) timings: bool,
-    /// Client-supplied latency budget in milliseconds (overrides the
-    /// server's default deadline for this request).
-    pub(crate) deadline_ms: Option<u64>,
-}
-
-/// A `match_table` request: a `left` table to block and score, against
-/// either an inline `right` table (a throwaway blocker is built for this
-/// one request) or — when `right` is omitted — the server's loaded
-/// streaming index.
-pub(crate) struct TableRequest {
-    pub(crate) id: Option<Value>,
-    pub(crate) left: Vec<dader_datagen::Entity>,
-    /// The corpus table. `None` routes the request through the shared
-    /// [`registry::SharedIndex`] instead of building a per-request blocker.
-    pub(crate) right: Option<Vec<dader_datagen::Entity>>,
-    pub(crate) kind: crate::matching::BlockerKind,
-    pub(crate) k: usize,
-    pub(crate) threshold: Option<f32>,
-    pub(crate) timings: bool,
-    /// Client-supplied latency budget in milliseconds.
-    pub(crate) deadline_ms: Option<u64>,
-}
-
-/// A `match_record` request: one record probed against the loaded
-/// streaming index — the steady-state operation of streaming ER. Rides
-/// the shared cross-connection inference batches like pair requests do.
-pub(crate) struct RecordRequest {
-    pub(crate) id: Option<Value>,
-    pub(crate) record: Vec<(String, String)>,
-    pub(crate) k: usize,
-    pub(crate) threshold: Option<f32>,
-    pub(crate) timings: bool,
-    /// Client-supplied latency budget in milliseconds.
-    pub(crate) deadline_ms: Option<u64>,
-}
-
-/// What a `{"mode": "reload"}` line asks to swap: the model artifact or
-/// the corpus index, each optionally naming a new path.
-pub(crate) enum ReloadTarget {
-    Model(Option<String>),
-    Index(Option<String>),
-}
-
-/// Outcome of one input line: a request to score, a whole-table match
-/// request, a single-record index probe, an index mutation, a hot-reload
-/// control request, a status snapshot request, or an error to echo.
-pub(crate) enum Parsed {
-    Ok(PairRequest),
-    Table(Box<TableRequest>),
-    /// `{"mode": "match_record"}` — top-k matches for one record against
-    /// the loaded index (answered with a typed error when none is loaded).
-    Record(Box<RecordRequest>),
-    /// `{"mode": "index_upsert"}` — insert or overwrite one corpus record
-    /// in the live index. Answered inline on the event loop.
-    IndexUpsert {
-        id: Option<Value>,
-        record_id: String,
-        record: Vec<(String, String)>,
-    },
-    /// `{"mode": "index_delete"}` — tombstone one corpus record by id.
-    IndexDelete {
-        id: Option<Value>,
-        record_id: String,
-    },
-    /// `{"mode": "reload"}` — swap the served artifact or the corpus
-    /// index (see [`ReloadTarget`]) in the serving [`ModelRegistry`].
-    Reload(ReloadTarget),
-    /// `{"mode": "status"}` — answer with the live status snapshot
-    /// (uptime, connections, queue depth, windowed latency, model
-    /// version) in place of a prediction.
-    Status,
-    Err(ErrorCode, String),
-}
-
-impl Parsed {
-    /// Whether the request asked for the `timings` breakdown.
-    pub(crate) fn wants_timings(&self) -> bool {
-        match self {
-            Parsed::Ok(req) => req.timings,
-            Parsed::Table(req) => req.timings,
-            Parsed::Record(req) => req.timings,
-            _ => false,
-        }
-    }
-
-    /// The request's own latency budget, where it stated one.
-    pub(crate) fn deadline_ms(&self) -> Option<u64> {
-        match self {
-            Parsed::Ok(req) => req.deadline_ms,
-            Parsed::Table(req) => req.deadline_ms,
-            Parsed::Record(req) => req.deadline_ms,
-            _ => None,
-        }
-    }
-}
-
-/// Read the optional boolean `timings` flag off a request object.
-fn timings_flag(v: &Value) -> bool {
-    matches!(v.get("timings"), Some(Value::Bool(true)))
-}
-
-/// Read the optional `deadline_ms` latency budget off a request object.
-fn deadline_field(v: &Value, lineno: usize) -> Result<Option<u64>, String> {
-    match v.get("deadline_ms") {
-        None => Ok(None),
-        Some(Value::Number(n)) if *n >= 0.0 && n.trunc() == *n => Ok(Some(*n as u64)),
-        Some(_) => Err(format!(
-            "line {lineno}: `deadline_ms` must be a non-negative integer"
-        )),
-    }
-}
-
-/// Response body for one scored pair.
-pub(crate) fn pair_body(id: Option<Value>, label: usize, prob: f32) -> Vec<(String, Value)> {
-    let mut kvs = Vec::with_capacity(6);
-    if let Some(id) = id {
-        kvs.push(("id".to_string(), id));
-    }
-    kvs.push(("match".to_string(), Value::Bool(label == 1)));
-    kvs.push(("probability".to_string(), Value::Number(prob as f64)));
-    kvs
-}
-
-/// Response body for one `match_table` outcome.
-pub(crate) fn table_body(
-    id: Option<Value>,
-    outcome: &crate::matching::MatchOutcome,
-) -> Vec<(String, Value)> {
-    let matches: Vec<Value> = outcome
-        .matches
-        .iter()
-        .map(|tm| {
-            Value::Object(vec![
-                ("left".to_string(), Value::Int(tm.left as i64)),
-                ("right".to_string(), Value::Int(tm.right as i64)),
-                (
-                    "probability".to_string(),
-                    Value::Number(tm.probability as f64),
-                ),
-                (
-                    "block_score".to_string(),
-                    Value::Number(tm.block_score as f64),
-                ),
-            ])
-        })
-        .collect();
-    let mut kvs = Vec::with_capacity(5);
-    if let Some(id) = id {
-        kvs.push(("id".to_string(), id));
-    }
-    kvs.push(("matches".to_string(), Value::Array(matches)));
-    kvs.push((
-        "candidates".to_string(),
-        Value::Int(outcome.candidates as i64),
-    ));
-    kvs
-}
-
-/// One scored `match_record` candidate: the index rank plus the record's
-/// own id (ranks shift under compaction, ids do not).
-pub(crate) struct RecordMatch {
-    pub(crate) right: usize,
-    pub(crate) right_id: String,
-    pub(crate) probability: f32,
-    pub(crate) block_score: f32,
-}
-
-/// Response body for one `match_record` outcome. `generation` tells the
-/// client exactly which index state answered — comparable against the
-/// generation echoed by its own `index_upsert`/`index_delete` calls.
-pub(crate) fn record_body(
-    id: Option<Value>,
-    matches: &[RecordMatch],
-    candidates: usize,
-    generation: u64,
-) -> Vec<(String, Value)> {
-    let matches: Vec<Value> = matches
-        .iter()
-        .map(|m| {
-            Value::Object(vec![
-                ("right".to_string(), Value::Int(m.right as i64)),
-                ("right_id".to_string(), Value::String(m.right_id.clone())),
-                (
-                    "probability".to_string(),
-                    Value::Number(m.probability as f64),
-                ),
-                (
-                    "block_score".to_string(),
-                    Value::Number(m.block_score as f64),
-                ),
-            ])
-        })
-        .collect();
-    let mut kvs = Vec::with_capacity(5);
-    if let Some(id) = id {
-        kvs.push(("id".to_string(), id));
-    }
-    kvs.push(("matches".to_string(), Value::Array(matches)));
-    kvs.push(("candidates".to_string(), Value::Int(candidates as i64)));
-    kvs.push(("generation".to_string(), Value::Int(generation as i64)));
-    kvs
-}
-
-/// Response body for one error object. `lineno` is present for per-line
-/// errors and absent for stream-level conditions (timeout, overloaded).
-pub(crate) fn error_body(
-    code: ErrorCode,
-    msg: &str,
-    lineno: Option<usize>,
-) -> Vec<(String, Value)> {
-    let mut kvs = vec![
-        ("error".to_string(), Value::String(msg.to_string())),
-        ("code".to_string(), Value::String(code.as_str().to_string())),
-        ("retryable".to_string(), Value::Bool(code.retryable())),
-    ];
-    if let Some(n) = lineno {
-        kvs.push(("line".to_string(), Value::Int(n as i64)));
-    }
-    kvs
-}
-
-/// Stamp the serving envelope onto a response body — `rid` (exact integer:
-/// the monotone-rid contract must survive past 2^53), `latency_us`, and
-/// the serving model's `version` tag where a registry is in play — then
-/// serialize to one output line.
-pub(crate) fn finalize_response(
-    mut kvs: Vec<(String, Value)>,
-    rid: u64,
-    latency_us: u128,
-    version: Option<&str>,
-) -> std::io::Result<String> {
-    kvs.push(("rid".to_string(), Value::Int(rid as i64)));
-    kvs.push(("latency_us".to_string(), Value::Int(latency_us as i64)));
-    if let Some(v) = version {
-        kvs.push(("version".to_string(), Value::String(v.to_string())));
-    }
-    serde_json::to_string(&Value::Object(kvs)).map_err(|e| std::io::Error::other(e.to_string()))
-}
-
 impl MatchServer {
     /// Load an artifact from disk and build the inference model directly —
     /// no training model (and no autograd tape) is ever constructed.
@@ -732,11 +375,6 @@ impl MatchServer {
             encoder,
             description: description.into(),
         }
-    }
-
-    /// Whether the served model runs on int8-quantized weights.
-    pub fn is_quantized(&self) -> bool {
-        self.model.is_quantized()
     }
 
     /// Match two whole tables through this server's model: block with the
@@ -787,333 +425,6 @@ impl MatchServer {
             batch_size,
             threshold,
         )
-    }
-}
-
-/// Coerce one JSON attribute object into an attribute-value list. The
-/// same scalar coercions apply everywhere entities enter the protocol:
-/// numbers render without a trailing `.0`, booleans as text, null as the
-/// empty string.
-fn scalar_attrs(val: &Value, what: &str, lineno: usize) -> Result<Vec<(String, String)>, String> {
-    let obj = val
-        .as_object()
-        .ok_or_else(|| format!("line {lineno}: {what} must be an object of string attributes"))?;
-    obj.iter()
-        .map(|(k, v)| match v {
-            Value::String(s) => Ok((k.clone(), s.clone())),
-            Value::Number(n) => Ok((k.clone(), format_number(*n))),
-            Value::Bool(b) => Ok((k.clone(), b.to_string())),
-            Value::Null => Ok((k.clone(), String::new())),
-            _ => Err(format!("line {lineno}: {what}.{k} must be a scalar value")),
-        })
-        .collect()
-}
-
-/// Parse one request line; every failure becomes an error message naming
-/// the line, so the caller can keep serving.
-pub(crate) fn parse_request(line: &str, lineno: usize) -> Parsed {
-    // Chaos failpoint: any armed `serve.parse` action becomes a typed
-    // `internal` error response (never a panic — parsing runs on the
-    // poller thread, which must survive whatever the harness injects).
-    if dader_obs::fault::check("serve.parse").is_some() {
-        return Parsed::Err(
-            ErrorCode::Internal,
-            format!("line {lineno}: fault injected: serve.parse"),
-        );
-    }
-    let v: Value = match serde_json::from_str(line) {
-        Ok(v) => v,
-        Err(e) => {
-            return Parsed::Err(
-                ErrorCode::InvalidJson,
-                format!("line {lineno}: invalid JSON: {e}"),
-            )
-        }
-    };
-    if v.as_object().is_none() {
-        return Parsed::Err(
-            ErrorCode::InvalidRequest,
-            format!("line {lineno}: request must be a JSON object"),
-        );
-    }
-    match v.get("mode") {
-        None => {}
-        Some(Value::String(mode)) if mode == "match_table" => {
-            return parse_table_request(&v, lineno)
-        }
-        Some(Value::String(mode)) if mode == "match_record" => {
-            return parse_record_request(&v, lineno)
-        }
-        Some(Value::String(mode)) if mode == "index_upsert" => {
-            return parse_index_upsert(&v, lineno)
-        }
-        Some(Value::String(mode)) if mode == "index_delete" => {
-            return parse_index_delete(&v, lineno)
-        }
-        Some(Value::String(mode)) if mode == "reload" => {
-            return parse_reload_request(&v, lineno)
-        }
-        Some(Value::String(mode)) if mode == "status" => return Parsed::Status,
-        Some(mode) => {
-            return Parsed::Err(
-                ErrorCode::InvalidRequest,
-                format!(
-                    "line {lineno}: unknown mode {mode:?} (expected \"match_table\", \
-                     \"match_record\", \"index_upsert\", \"index_delete\", \"reload\" or \
-                     \"status\")"
-                ),
-            )
-        }
-    }
-    let entity = |key: &str| -> Result<Vec<(String, String)>, String> {
-        let val = v
-            .get(key)
-            .ok_or_else(|| format!("line {lineno}: `{key}` must be an object of string attributes"))?;
-        scalar_attrs(val, &format!("`{key}`"), lineno)
-    };
-    let a = match entity("a") {
-        Ok(a) => a,
-        Err(e) => return Parsed::Err(ErrorCode::InvalidRequest, e),
-    };
-    let b = match entity("b") {
-        Ok(b) => b,
-        Err(e) => return Parsed::Err(ErrorCode::InvalidRequest, e),
-    };
-    let deadline_ms = match deadline_field(&v, lineno) {
-        Ok(d) => d,
-        Err(e) => return Parsed::Err(ErrorCode::InvalidRequest, e),
-    };
-    Parsed::Ok(PairRequest {
-        id: v.get("id").cloned(),
-        a,
-        b,
-        timings: timings_flag(&v),
-        deadline_ms,
-    })
-}
-
-/// Parse a `match_table` request: `left` and `right` are arrays of
-/// attribute objects; `blocker` (`topk`/`lsh`, default `lsh`), `k`
-/// (default 10) and `threshold` tune candidate generation and match
-/// acceptance.
-fn parse_table_request(v: &Value, lineno: usize) -> Parsed {
-    let table = |key: &str| -> Result<Vec<dader_datagen::Entity>, String> {
-        let arr = v.get(key).and_then(|e| e.as_array()).ok_or_else(|| {
-            format!("line {lineno}: `{key}` must be an array of attribute objects")
-        })?;
-        arr.iter()
-            .enumerate()
-            .map(|(i, row)| {
-                scalar_attrs(row, &format!("`{key}[{i}]`"), lineno).map(|attrs| {
-                    dader_datagen::Entity {
-                        id: i.to_string(),
-                        attrs,
-                    }
-                })
-            })
-            .collect()
-    };
-    let left = match table("left") {
-        Ok(t) => t,
-        Err(e) => return Parsed::Err(ErrorCode::InvalidRequest, e),
-    };
-    // `right` is optional: omitted means "match against the loaded
-    // streaming index" (the blocker the server already holds), present
-    // means "build a throwaway blocker over this inline table".
-    let right = match v.get("right") {
-        None | Some(Value::Null) => None,
-        Some(_) => match table("right") {
-            Ok(t) => Some(t),
-            Err(e) => return Parsed::Err(ErrorCode::InvalidRequest, e),
-        },
-    };
-    let kind = match v.get("blocker") {
-        None => crate::matching::BlockerKind::Lsh,
-        Some(Value::String(s)) => match crate::matching::BlockerKind::parse(s) {
-            Some(kind) => kind,
-            None => {
-                return Parsed::Err(
-                    ErrorCode::InvalidRequest,
-                    format!("line {lineno}: unknown blocker `{s}` (expected `topk` or `lsh`)"),
-                )
-            }
-        },
-        Some(_) => {
-            return Parsed::Err(
-                ErrorCode::InvalidRequest,
-                format!("line {lineno}: `blocker` must be a string"),
-            )
-        }
-    };
-    let k = match v.get("k") {
-        None => 10,
-        Some(Value::Number(n)) if *n >= 1.0 && n.trunc() == *n => *n as usize,
-        Some(_) => {
-            return Parsed::Err(
-                ErrorCode::InvalidRequest,
-                format!("line {lineno}: `k` must be a positive integer"),
-            )
-        }
-    };
-    let threshold = match v.get("threshold") {
-        None => None,
-        Some(Value::Number(n)) if (0.0..=1.0).contains(n) => Some(*n as f32),
-        Some(_) => {
-            return Parsed::Err(
-                ErrorCode::InvalidRequest,
-                format!("line {lineno}: `threshold` must be a number in [0, 1]"),
-            )
-        }
-    };
-    let deadline_ms = match deadline_field(v, lineno) {
-        Ok(d) => d,
-        Err(e) => return Parsed::Err(ErrorCode::InvalidRequest, e),
-    };
-    Parsed::Table(Box::new(TableRequest {
-        id: v.get("id").cloned(),
-        left,
-        right,
-        kind,
-        k,
-        threshold,
-        timings: timings_flag(v),
-        deadline_ms,
-    }))
-}
-
-/// Parse a `match_record` request: `record` is one attribute object to
-/// probe against the loaded index; `k` (default 10) and `threshold` tune
-/// candidate generation and match acceptance like `match_table`.
-fn parse_record_request(v: &Value, lineno: usize) -> Parsed {
-    let record = match v.get("record") {
-        Some(val) => match scalar_attrs(val, "`record`", lineno) {
-            Ok(attrs) => attrs,
-            Err(e) => return Parsed::Err(ErrorCode::InvalidRequest, e),
-        },
-        None => {
-            return Parsed::Err(
-                ErrorCode::InvalidRequest,
-                format!("line {lineno}: `record` must be an object of string attributes"),
-            )
-        }
-    };
-    let k = match v.get("k") {
-        None => 10,
-        Some(Value::Number(n)) if *n >= 1.0 && n.trunc() == *n => *n as usize,
-        Some(_) => {
-            return Parsed::Err(
-                ErrorCode::InvalidRequest,
-                format!("line {lineno}: `k` must be a positive integer"),
-            )
-        }
-    };
-    let threshold = match v.get("threshold") {
-        None => None,
-        Some(Value::Number(n)) if (0.0..=1.0).contains(n) => Some(*n as f32),
-        Some(_) => {
-            return Parsed::Err(
-                ErrorCode::InvalidRequest,
-                format!("line {lineno}: `threshold` must be a number in [0, 1]"),
-            )
-        }
-    };
-    let deadline_ms = match deadline_field(v, lineno) {
-        Ok(d) => d,
-        Err(e) => return Parsed::Err(ErrorCode::InvalidRequest, e),
-    };
-    Parsed::Record(Box::new(RecordRequest {
-        id: v.get("id").cloned(),
-        record,
-        k,
-        threshold,
-        timings: timings_flag(v),
-        deadline_ms,
-    }))
-}
-
-/// Read the required `record_id` string off an index-mutation request.
-fn record_id_field(v: &Value, lineno: usize) -> Result<String, String> {
-    match v.get("record_id") {
-        Some(Value::String(s)) if !s.is_empty() => Ok(s.clone()),
-        Some(_) => Err(format!(
-            "line {lineno}: `record_id` must be a non-empty string"
-        )),
-        None => Err(format!(
-            "line {lineno}: index mutations need a `record_id` string"
-        )),
-    }
-}
-
-/// Parse an `index_upsert` request: `record_id` names the corpus record,
-/// `record` carries its attributes.
-fn parse_index_upsert(v: &Value, lineno: usize) -> Parsed {
-    let record_id = match record_id_field(v, lineno) {
-        Ok(id) => id,
-        Err(e) => return Parsed::Err(ErrorCode::InvalidRequest, e),
-    };
-    let record = match v.get("record") {
-        Some(val) => match scalar_attrs(val, "`record`", lineno) {
-            Ok(attrs) => attrs,
-            Err(e) => return Parsed::Err(ErrorCode::InvalidRequest, e),
-        },
-        None => {
-            return Parsed::Err(
-                ErrorCode::InvalidRequest,
-                format!("line {lineno}: `record` must be an object of string attributes"),
-            )
-        }
-    };
-    Parsed::IndexUpsert {
-        id: v.get("id").cloned(),
-        record_id,
-        record,
-    }
-}
-
-/// Parse an `index_delete` request: just the `record_id` to tombstone.
-fn parse_index_delete(v: &Value, lineno: usize) -> Parsed {
-    match record_id_field(v, lineno) {
-        Ok(record_id) => Parsed::IndexDelete {
-            id: v.get("id").cloned(),
-            record_id,
-        },
-        Err(e) => Parsed::Err(ErrorCode::InvalidRequest, e),
-    }
-}
-
-/// Parse a `reload` request. `artifact` targets the model, `index` the
-/// corpus index; each takes a path string (or, for `index`, `true` to
-/// re-read the path on file). Asking for both in one line is rejected —
-/// the two swaps are separate failure domains.
-fn parse_reload_request(v: &Value, lineno: usize) -> Parsed {
-    if v.get("artifact").is_some() && v.get("index").is_some() {
-        return Parsed::Err(
-            ErrorCode::InvalidRequest,
-            format!(
-                "line {lineno}: reload either the `artifact` or the `index` per request, not both"
-            ),
-        );
-    }
-    if let Some(idx) = v.get("index") {
-        return match idx {
-            Value::String(path) => Parsed::Reload(ReloadTarget::Index(Some(path.clone()))),
-            Value::Bool(true) => Parsed::Reload(ReloadTarget::Index(None)),
-            _ => Parsed::Err(
-                ErrorCode::InvalidRequest,
-                format!(
-                    "line {lineno}: `index` must be a path string (or `true` to re-read \
-                     the loaded file)"
-                ),
-            ),
-        };
-    }
-    match v.get("artifact") {
-        None => Parsed::Reload(ReloadTarget::Model(None)),
-        Some(Value::String(path)) => Parsed::Reload(ReloadTarget::Model(Some(path.clone()))),
-        Some(_) => Parsed::Err(
-            ErrorCode::InvalidRequest,
-            format!("line {lineno}: `artifact` must be a path string"),
-        ),
     }
 }
 
@@ -1204,22 +515,13 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Print a JSON number the way the tokenizer expects attribute text
-/// (integers without a trailing `.0`).
-fn format_number(n: f64) -> String {
-    if n.is_finite() && n == n.trunc() && n.abs() < 1e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dader_core::{LmExtractor, Matcher};
     use dader_nn::TransformerConfig;
     use dader_text::Vocab;
+    use serde::Value;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;

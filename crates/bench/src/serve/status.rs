@@ -26,9 +26,10 @@ use super::{admission, metrics, WINDOW_SECS};
 /// (request-line-less) scrape and answered with the raw metrics dump.
 const REQUEST_LINE_GRACE: Duration = Duration::from_millis(250);
 
-/// Process start, pinned by the first caller — uptime reference for the
-/// status snapshot. `dader-serve` calls this at startup so uptime covers
-/// the whole process, not just the time since the first probe.
+/// Serving start, pinned by the first caller — uptime reference for the
+/// status snapshot. The serving core and the status endpoint call this
+/// when they start, so uptime covers the whole time served, not just the
+/// time since the first probe.
 pub fn started() -> Instant {
     static STARTED: OnceLock<Instant> = OnceLock::new();
     *STARTED.get_or_init(Instant::now)

@@ -516,3 +516,126 @@ fn piped_burst_past_the_queue_bound_is_answered_not_shed() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// Every stdout line of a `dader-serve` run that must have exited 0.
+fn answers(out: std::process::Output) -> Vec<Value> {
+    assert!(
+        out.status.success(),
+        "exit {:?}, stderr: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("every answer is JSON"))
+        .collect()
+}
+
+const PAIR: &str = r#"{"id": 9, "a": {"title": "kodak esp"}, "b": {"title": "kodak"}}"#;
+
+/// 50,000 `[` (50 KB, under the 1 MiB line limit) once overflowed the JSON
+/// parser's stack and aborted the process. The line is answered
+/// `invalid_json` in place, and the stream goes on.
+#[test]
+fn deeply_nested_line_is_answered_and_the_stream_goes_on() {
+    let artifact = write_tiny_artifact("nested.dma");
+    let input = format!("{}\n{PAIR}\n", "[".repeat(50_000));
+    let out = answers(run_serve(&artifact, &[], &input));
+    std::fs::remove_file(&artifact).unwrap();
+    assert_eq!(out.len(), 2, "{out:?}");
+    assert_eq!(out[0].get("code").and_then(|c| c.as_str()), Some("invalid_json"));
+    assert_eq!(out[0].get("line").and_then(|l| l.as_i64()), Some(1));
+    assert!(out[1].get("match").is_some(), "{:?}", out[1]);
+}
+
+/// `k` is any positive integer: a `match_table` asking for 10^15
+/// candidates per row once aborted the process reserving room for them
+/// all. It is answered, and so are the pairs around it.
+#[test]
+fn huge_k_is_answered_and_the_stream_goes_on() {
+    let artifact = write_tiny_artifact("huge_k.dma");
+    let table = r#"{"mode": "match_table", "left": [{"title": "kodak"}], "right": [{"title": "kodak esp"}], "blocker": "topk", "k": 1000000000000000, "threshold": 0.0}"#;
+    let input = format!("{PAIR}\n{table}\n{PAIR}\n");
+    let out = answers(run_serve(&artifact, &[], &input));
+    std::fs::remove_file(&artifact).unwrap();
+    assert_eq!(out.len(), 3, "{out:?}");
+    assert!(out[1].get("error").is_none(), "{:?}", out[1]);
+    assert_eq!(out[1].get("candidates").and_then(|c| c.as_i64()), Some(1));
+    for v in [&out[0], &out[2]] {
+        assert!(v.get("match").is_some(), "{v:?}");
+    }
+}
+
+/// The in-band status answer on stdin counts uptime from the start of
+/// serving and counts the stdin connection itself, and it echoes `id`.
+/// The start instant is process-global, so only a fresh process shows it.
+#[test]
+fn stdin_status_reports_uptime_and_its_own_connection() {
+    let artifact = write_tiny_artifact("status.dma");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dader-serve"))
+        .arg(&artifact)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dader-serve");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    writeln!(stdin, "{PAIR}").unwrap();
+    stdout.read_line(&mut line).unwrap(); // serving has started
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    writeln!(stdin, r#"{{"mode": "status", "id": 7}}"#).unwrap();
+    drop(stdin);
+    line.clear();
+    stdout.read_line(&mut line).unwrap();
+    assert!(child.wait().unwrap().success());
+    std::fs::remove_file(&artifact).unwrap();
+
+    let v: Value = serde_json::from_str(&line).unwrap();
+    assert_eq!(v.get("id").and_then(|i| i.as_i64()), Some(7), "{line}");
+    let status = v.get("status").expect("status body");
+    let num = |k: &str| status.get(k).and_then(|x| x.as_f64()).expect(k);
+    assert!(num("uptime_secs") >= 0.3, "{line}");
+    assert_eq!(num("conns_live"), 1.0, "{line}");
+    assert_eq!(num("conns_total"), 1.0, "{line}");
+}
+
+/// Every mode reads one envelope: `id`, `timings` and `deadline_ms` mean
+/// the same in each, and every error that answers a line names it,
+/// including those the scorer gives (`deadline_exceeded`, no index).
+#[test]
+fn every_mode_shares_one_envelope() {
+    let artifact = write_tiny_artifact("envelope.dma");
+    let input = [
+        r#"{"id": 1, "a": {"title": "kodak"}, "b": {"title": "kodak"}, "deadline_ms": 0}"#,
+        r#"{"id": 2, "mode": "match_record", "record": {"title": "kodak"}}"#,
+        r#"{"id": 3, "mode": "match_table", "left": [{"title": "kodak"}]}"#,
+        r#"{"id": 4, "mode": "reload", "timings": true}"#,
+        r#"{"id": 5, "mode": "status", "timings": true}"#,
+        r#"{"id": 6, "mode": "index_delete", "record_id": "x", "deadline_ms": -1}"#,
+    ]
+    .map(|l| l.to_string() + "\n")
+    .concat();
+    let out = answers(run_serve(&artifact, &[], &input));
+    std::fs::remove_file(&artifact).unwrap();
+    assert_eq!(out.len(), 6, "{out:?}");
+    let str_of = |i: usize, k: &str| out[i].get(k).and_then(|v| v.as_str());
+    for (i, code) in [
+        (0, "deadline_exceeded"),
+        (1, "invalid_request"),
+        (2, "invalid_request"),
+        (5, "invalid_request"),
+    ] {
+        assert_eq!(str_of(i, "code"), Some(code), "{:?}", out[i]);
+        assert_eq!(out[i].get("line").and_then(|l| l.as_i64()), Some(i as i64 + 1));
+    }
+    assert!(str_of(5, "error").unwrap().contains("`deadline_ms`"));
+    for i in [3, 4] {
+        assert_eq!(out[i].get("id").and_then(|v| v.as_i64()), Some(i as i64 + 1));
+        assert!(out[i].get("timings").is_some(), "{:?}", out[i]);
+    }
+    assert_eq!(out[3].get("reloaded"), Some(&Value::Bool(true)));
+    assert!(out[4].get("status").is_some());
+}

@@ -51,6 +51,12 @@ impl Ord for Entry {
     }
 }
 
+/// Most heap slots [`TopK::new`] reserves up front. `k` can come from a
+/// client (`match_table` / `match_record`), so reserving `k` slots would
+/// let one request ask for any amount of memory; past this the heap grows
+/// with what is actually pushed.
+const PREALLOC_MAX: usize = 1024;
+
 /// Accumulates candidates, keeping only the best `k` under the
 /// deterministic order (score descending, index ascending).
 pub struct TopK {
@@ -63,7 +69,7 @@ impl TopK {
     pub fn new(k: usize) -> TopK {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(PREALLOC_MAX)),
         }
     }
 
@@ -167,5 +173,17 @@ mod tests {
         assert_eq!(t.len(), 2);
         let got: Vec<usize> = t.into_sorted().iter().map(|c| c.right).collect();
         assert_eq!(got, vec![2, 4]);
+    }
+
+    #[test]
+    fn huge_k_reserves_only_what_is_pushed() {
+        // `k` is client-chosen: `usize::MAX` must neither overflow nor
+        // try to reserve that many slots.
+        let mut t = TopK::new(usize::MAX);
+        for j in 0..3 {
+            t.push(cand(j, j as f32));
+        }
+        let got: Vec<usize> = t.into_sorted().iter().map(|c| c.right).collect();
+        assert_eq!(got, vec![2, 1, 0]);
     }
 }

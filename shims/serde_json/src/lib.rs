@@ -134,11 +134,17 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Deepest array/object nesting [`from_str`] accepts, as in real
+/// serde_json. The parser recurses once per level, so without a bound a
+/// short line of `[`s from an untrusted client overflows the stack.
+pub const RECURSION_LIMIT: usize = 128;
+
 /// Parse JSON text into any [`Deserialize`] type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -152,6 +158,8 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -186,8 +194,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[' | b'{') => {
+                if self.depth == RECURSION_LIMIT {
+                    return Err(Error(format!(
+                        "recursion limit exceeded at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -259,12 +281,19 @@ impl<'a> Parser<'a> {
                             let cp = if (0xD800..0xDC00).contains(&cp)
                                 && self.bytes[self.pos..].starts_with(b"\\u")
                             {
-                                let hex2 = std::str::from_utf8(
-                                    &self.bytes[self.pos + 2..self.pos + 6],
-                                )
-                                .map_err(|e| Error(e.to_string()))?;
+                                let hex2 = self
+                                    .bytes
+                                    .get(self.pos + 2..self.pos + 6)
+                                    .ok_or_else(|| Error("truncated \\u escape".into()))?;
+                                let hex2 = std::str::from_utf8(hex2)
+                                    .map_err(|e| Error(e.to_string()))?;
                                 let low = u32::from_str_radix(hex2, 16)
                                     .map_err(|e| Error(e.to_string()))?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(Error(
+                                        "lone leading surrogate in \\u escape".into(),
+                                    ));
+                                }
                                 self.pos += 6;
                                 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00)
                             } else {
@@ -280,7 +309,11 @@ impl<'a> Parser<'a> {
                 c if c < 0x80 => out.push(c as char),
                 _ => {
                     // Multi-byte UTF-8: re-decode from the byte before.
-                    let rest = &self.bytes[self.pos - 1..];
+                    // A char is at most 4 bytes; validating all of the
+                    // rest instead would make a line of non-ASCII text
+                    // quadratic to parse.
+                    let end = (self.pos + 3).min(self.bytes.len());
+                    let rest = &self.bytes[self.pos - 1..end];
                     let s = std::str::from_utf8(rest)
                         .or_else(|e| {
                             std::str::from_utf8(&rest[..e.valid_up_to()])
@@ -402,6 +435,35 @@ mod tests {
         let text = to_string(&s).unwrap();
         assert_eq!(from_str::<String>(&text).unwrap(), s);
         assert_eq!(from_str::<String>("\"\\u0041\\ud835\\udcde\"").unwrap(), "A𝓞");
+        // Linear in the text: each char is decoded from its own bytes, so
+        // 200 KB of two-byte chars parses at once.
+        let long = "é".repeat(100_000);
+        assert_eq!(from_str::<String>(&to_string(&long).unwrap()).unwrap(), long);
+    }
+
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(RECURSION_LIMIT)).is_ok());
+        let err = from_str::<Value>(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // 50 KB of `[` once aborted the process; objects count too.
+        assert!(from_str::<Value>(&"[".repeat(50_000)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(50_000)).is_err());
+        // The limit is on depth, not on size.
+        let wide = format!("[{}0]", "0,".repeat(100_000));
+        assert!(from_str::<Value>(&wide).is_ok());
+    }
+
+    #[test]
+    fn broken_surrogate_escapes_are_errors() {
+        for text in [
+            "\"\\ud835\\u\"",
+            "\"\\ud835\\u12\"",
+            "\"\\ud835\\u0041\"",
+        ] {
+            assert!(from_str::<String>(text).is_err(), "{text}");
+        }
     }
 
     #[test]
