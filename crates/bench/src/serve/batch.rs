@@ -35,7 +35,8 @@ use dader_block::Blocker;
 use super::conn::Completed;
 use super::poll::Waker;
 use super::protocol::{
-    error_body, pair_body, record_body, table_body, ErrorCode, Op, RecordMatch, Request,
+    at_line, error_body, pair_body, record_body, table_body, ErrorCode, Op, RecordMatch, Request,
+    NO_INDEX,
 };
 use super::registry::{SharedIndex, VersionedModel};
 use super::{admission, metrics, panic_message, predict_contained, Timeline};
@@ -269,7 +270,11 @@ fn run_job(job: &BatchJob) -> Vec<Done> {
                     seq: w.seq,
                     done: Completed {
                         timeline: w.timeline,
-                        body: error_body(ErrorCode::Internal, msg, Some(w.req.lineno)),
+                        body: error_body(
+                            ErrorCode::Internal,
+                            &at_line(w.req.lineno, msg),
+                            Some(w.req.lineno),
+                        ),
                         version: Some(job.model.version.clone()),
                         scored: 0,
                         is_error: true,
@@ -362,8 +367,14 @@ fn score_items(job: &BatchJob) -> Vec<Done> {
         .zip(record_preps)
         .map(|(w, prep)| {
             let mut timeline = w.timeline;
-            let fail =
-                |code: ErrorCode, msg: &str| (error_body(code, msg, Some(w.req.lineno)), 0, true);
+            let lineno = w.req.lineno;
+            let fail = |code: ErrorCode, msg: &str| {
+                (
+                    error_body(code, &at_line(lineno, msg), Some(lineno)),
+                    0,
+                    true,
+                )
+            };
             let (body, scored, is_error) = if expired(w) {
                 admission::count_shed("deadline");
                 fail(
@@ -389,10 +400,7 @@ fn score_items(job: &BatchJob) -> Vec<Done> {
                         timeline.infer_start = Some(infer_start);
                         timeline.infer_end = Some(infer_end);
                         let out = match prep {
-                            None => fail(
-                                ErrorCode::InvalidRequest,
-                                "no index loaded; start dader-serve with --index or reload one",
-                            ),
+                            None => fail(ErrorCode::InvalidRequest, NO_INDEX),
                             Some(p) => {
                                 // Consume this record's slice of the shared
                                 // predictions; a bisected-out candidate

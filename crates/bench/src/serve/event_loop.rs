@@ -309,7 +309,8 @@ fn run(
                     LineEvent::Line(line) => protocol::decode(&line, lineno),
                     LineEvent::TooLong => {
                         let max = cfg.limits.max_line_bytes;
-                        let msg = format!("line {lineno}: request exceeds {max} bytes");
+                        let msg =
+                            protocol::at_line(lineno, format_args!("request exceeds {max} bytes"));
                         Err((ErrorCode::LineTooLong, msg))
                     }
                 };
@@ -530,13 +531,14 @@ fn run(
 fn answer_inline(registry: &Arc<ModelRegistry>, req: Request, timeline: Timeline) -> Completed {
     let Request { id, lineno, op, .. } = req;
     let fail = |code: ErrorCode, msg: &str| {
-        let msg = format!("line {lineno}: {msg}");
-        Completed::error(timeline, code, &msg, Some(lineno))
+        Completed::error(
+            timeline,
+            code,
+            &protocol::at_line(lineno, msg),
+            Some(lineno),
+        )
     };
-    let no_index = || {
-        let msg = "no index loaded; start dader-serve with --index or reload one";
-        fail(ErrorCode::InvalidRequest, msg)
-    };
+    let no_index = || fail(ErrorCode::InvalidRequest, protocol::NO_INDEX);
     let body = match op {
         // Mutations hold the index write lock only for the O(record)
         // slot append, and echo the bumped generation so the client can

@@ -189,15 +189,28 @@ pub fn decode(line: &str, lineno: usize) -> Result<Request, (ErrorCode, String)>
     // `internal` error response (never a panic — decoding runs on the
     // poller thread, which must survive whatever the harness injects).
     if dader_obs::fault::check("serve.parse").is_some() {
-        let msg = format!("line {lineno}: fault injected: serve.parse");
-        return Err((ErrorCode::Internal, msg));
+        return Err((
+            ErrorCode::Internal,
+            at_line(lineno, "fault injected: serve.parse"),
+        ));
     }
     let v: Value = serde_json::from_str(line).map_err(|e| {
-        let msg = format!("line {lineno}: invalid JSON: {e}");
-        (ErrorCode::InvalidJson, msg)
+        (
+            ErrorCode::InvalidJson,
+            at_line(lineno, format_args!("invalid JSON: {e}")),
+        )
     })?;
-    decode_value(&v, lineno).map_err(|e| (ErrorCode::InvalidRequest, format!("line {lineno}: {e}")))
+    decode_value(&v, lineno).map_err(|e| (ErrorCode::InvalidRequest, at_line(lineno, e)))
 }
+
+/// The message of an error that answers request line `lineno`: every
+/// such message reads `line {lineno}: {msg}`.
+pub(crate) fn at_line(lineno: usize, msg: impl std::fmt::Display) -> String {
+    format!("line {lineno}: {msg}")
+}
+
+/// Why a request that needs the blocking index was refused.
+pub(crate) const NO_INDEX: &str = "no index loaded; start dader-serve with --index or reload one";
 
 /// Read the envelope and the mode's fields off a parsed line.
 fn decode_value(v: &Value, lineno: usize) -> Result<Request, String> {

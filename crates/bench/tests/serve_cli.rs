@@ -630,6 +630,9 @@ fn every_mode_shares_one_envelope() {
     ] {
         assert_eq!(str_of(i, "code"), Some(code), "{:?}", out[i]);
         assert_eq!(out[i].get("line").and_then(|l| l.as_i64()), Some(i as i64 + 1));
+        // Scorer-side errors (lines 1-3) read like the poller's (line 6).
+        let msg = str_of(i, "error").unwrap();
+        assert!(msg.starts_with(&format!("line {}: ", i + 1)), "{msg}");
     }
     assert!(str_of(5, "error").unwrap().contains("`deadline_ms`"));
     for i in [3, 4] {

@@ -80,14 +80,26 @@ impl<'a> Batcher<'a> {
 
     /// Next minibatch, wrapping around (and re-shuffling) at epoch end.
     pub fn next_batch(&mut self, rng: &mut StdRng) -> EncodedBatch {
+        let idx = self.next_indices(rng);
+        EncodedBatch::from_indices(self.dataset, self.encoder, &idx)
+    }
+
+    /// The dataset indices of the next minibatch, unencoded. Consumes
+    /// `rng` exactly as [`Batcher::next_batch`] does.
+    pub fn next_indices(&mut self, rng: &mut StdRng) -> Vec<usize> {
         if self.cursor + self.batch_size > self.order.len() {
             self.order.shuffle(rng);
             self.cursor = 0;
         }
         let take = self.batch_size.min(self.order.len());
-        let idx: Vec<usize> = self.order[self.cursor..self.cursor + take].to_vec();
+        let idx = self.order[self.cursor..self.cursor + take].to_vec();
         self.cursor += take;
-        EncodedBatch::from_indices(self.dataset, self.encoder, &idx)
+        idx
+    }
+
+    /// The dataset this batcher samples from.
+    pub fn dataset(&self) -> &'a ErDataset {
+        self.dataset
     }
 
     /// Number of full batches per epoch.

@@ -80,8 +80,9 @@ pub fn overlap_features(batch: &EncodedBatch) -> Tensor {
     Tensor::from_vec(data, (b, OVERLAP_FEATURES))
 }
 
-/// The similarity-structured feature head shared by both extractors:
-/// `feature = tanh(W [summary; |m_a - m_b|; m_a ⊙ m_b])`.
+/// The input of the LM extractor's similarity-structured head, one row
+/// per pair: `[summary; |m_a - m_b|; m_a ⊙ m_b; overlap]`. The head itself
+/// is `feature = tanh(W · input)` ([`LmExtractor::head`]).
 ///
 /// Real BERT learns the cross-entity comparison inside its 12 layers; at
 /// our scale that function does not emerge from a few hundred labeled
@@ -89,26 +90,17 @@ pub fn overlap_features(batch: &EncodedBatch) -> Tensor {
 /// the comparison operator is built into the head while the encoder still
 /// learns the (domain-dependent) token representations underneath. See
 /// DESIGN.md §2.
-fn similarity_feature(
-    head: &Linear,
-    summary: &Tensor,
-    ma: &Tensor,
-    mb: &Tensor,
-    overlap: &Tensor,
-) -> Tensor {
+fn similarity_input(summary: &Tensor, ma: &Tensor, mb: &Tensor, overlap: &Tensor) -> Tensor {
     // L2-normalize the segment poolings: embedding tables live at
     // N(0, 0.02) scale, far too small to drive the head's logits.
     let ma = ma.l2_normalize_rows(1e-8);
     let mb = mb.l2_normalize_rows(1e-8);
     let diff = abs_elem(&ma.sub(&mb));
     let prod = ma.mul(&mb);
-    head.forward(
-        &summary
-            .concat_cols(&diff)
-            .concat_cols(&prod)
-            .concat_cols(overlap),
-    )
-    .tanh_act()
+    summary
+        .concat_cols(&diff)
+        .concat_cols(&prod)
+        .concat_cols(overlap)
 }
 
 /// Reconstruction recipe for a feature extractor: the architecture kind
@@ -190,6 +182,15 @@ pub trait FeatureExtractor: Send + Sync {
     /// The reconstruction recipe for this extractor (persisted into model
     /// artifacts; see [`ExtractorSpec`]).
     fn spec(&self) -> ExtractorSpec;
+
+    /// This extractor split at its head, when nothing beneath the head
+    /// trains: then [`LmExtractor::pre_head`] is a fixed function of the
+    /// encoded pair and training may compute it once per pair
+    /// (`train::features`). `None` — the default — for any extractor
+    /// with a trainable parameter under its head.
+    fn frozen_trunk(&self) -> Option<&LmExtractor> {
+        None
+    }
 }
 
 /// Design choice (II): a BERT-style transformer encoder with the
@@ -243,10 +244,12 @@ impl LmExtractor {
             p.set_trainable(true);
         }
     }
-}
 
-impl FeatureExtractor for LmExtractor {
-    fn extract(&self, batch: &EncodedBatch) -> Tensor {
+    /// Everything beneath the head — the transformer's `[CLS]` summary,
+    /// the two segment poolings and the overlap statistics — as the
+    /// head's `(B, 3·dim + OVERLAP_FEATURES)` input. Rows are independent
+    /// of each other, so a pair's row is the same in any batch.
+    pub fn pre_head(&self, batch: &EncodedBatch) -> Tensor {
         let _sp = dader_obs::span!("extract.lm");
         let cls = self
             .encoder
@@ -260,7 +263,19 @@ impl FeatureExtractor for LmExtractor {
         let (mask_a, mask_b) = segment_masks(batch);
         let ma = emb.mean_pool_seq(&mask_a);
         let mb = emb.mean_pool_seq(&mask_b);
-        similarity_feature(&self.head, &cls, &ma, &mb, &overlap_features(batch))
+        similarity_input(&cls, &ma, &mb, &overlap_features(batch))
+    }
+
+    /// The trainable similarity head over [`LmExtractor::pre_head`]'s
+    /// rows: `tanh(W · pre)`.
+    pub fn head(&self, pre: &Tensor) -> Tensor {
+        self.head.forward(pre).tanh_act()
+    }
+}
+
+impl FeatureExtractor for LmExtractor {
+    fn extract(&self, batch: &EncodedBatch) -> Tensor {
+        self.head(&self.pre_head(batch))
     }
 
     fn feat_dim(&self) -> usize {
@@ -286,6 +301,11 @@ impl FeatureExtractor for LmExtractor {
 
     fn spec(&self) -> ExtractorSpec {
         ExtractorSpec::Lm(*self.encoder.config())
+    }
+
+    fn frozen_trunk(&self) -> Option<&LmExtractor> {
+        let frozen = self.encoder.params().iter().all(|p| !p.is_trainable());
+        frozen.then_some(self)
     }
 }
 

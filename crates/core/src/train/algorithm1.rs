@@ -24,6 +24,7 @@ use crate::matcher::Matcher;
 use crate::model::DaderModel;
 use crate::snapshot::Snapshot;
 use crate::train::config::{mean_over, EpochStat, TrainConfig};
+use crate::train::features::PairFeatures;
 use crate::train::health::HealthGuard;
 use crate::train::resume::TrainCheckpoint;
 use crate::train::telemetry::{EpochReport, RunTelemetry};
@@ -137,6 +138,7 @@ pub fn train_algorithm1(
     };
 
     let mut opt = Adam::new(cfg.lr);
+    let features = PairFeatures::new(task, cfg.eval_batch);
     let mut src_batches = Batcher::new(task.source, task.encoder, cfg.batch_size, &mut rng);
     let needs_target = kind != AlignerKind::NoDa;
     let mut tgt_batches = if needs_target {
@@ -227,18 +229,16 @@ pub fn train_algorithm1(
                 // features don't derail the matcher.
                 let step = (epoch - 1) * iters + it;
                 let grl_beta = cfg.beta * grl_lambda(grl_progress(step, total_steps));
-                let bs = src_batches.next_batch(&mut rng);
-                let xs = extractor.extract(&bs);
-                let loss_m = matcher.matching_loss_weighted(&xs, &bs.labels, pos_weight);
+                let bs = features.sample(&mut src_batches, &mut rng);
+                let xs = features.extract(extractor.as_ref(), &bs);
+                let loss_m = matcher.matching_loss_weighted(&xs, &bs.labels(), pos_weight);
 
                 let loss_a: Tensor = match kind {
                     AlignerKind::NoDa => Tensor::scalar(0.0),
                     AlignerKind::Mmd | AlignerKind::KOrder | AlignerKind::Grl | AlignerKind::Ed => {
-                        let bt = tgt_batches
-                            .as_mut()
-                            .expect("target batcher")
-                            .next_batch(&mut rng);
-                        let xt = extractor.extract(&bt);
+                        let bt = features
+                            .sample(tgt_batches.as_mut().expect("target batcher"), &mut rng);
+                        let xt = features.extract(extractor.as_ref(), &bt);
                         match kind {
                             AlignerKind::Mmd => mmd_loss(&xs, &xt).scale(cfg.beta),
                             AlignerKind::KOrder => coral_loss(&xs, &xt).scale(cfg.beta),
@@ -248,8 +248,8 @@ pub fn train_algorithm1(
                                 .domain_loss(&xs, &xt, grl_beta),
                             AlignerKind::Ed => {
                                 let e = ed.as_ref().expect("ed aligner");
-                                e.reconstruction_loss(&xs, &bs)
-                                    .add(&e.reconstruction_loss(&xt, &bt))
+                                e.reconstruction_loss(&xs, bs.encoded())
+                                    .add(&e.reconstruction_loss(&xt, bt.encoded()))
                                     .scale(cfg.beta)
                             }
                             _ => unreachable!(),
@@ -304,30 +304,10 @@ pub fn train_algorithm1(
             break 'attempt (sum_m, sum_a);
         };
 
-        let val = crate::eval::evaluate(
-            extractor.as_ref(),
-            &matcher,
-            task.target_val,
-            task.encoder,
-            cfg.eval_batch,
-        )
-        .f1();
-        let source_f1 = if cfg.track_source_f1 {
-            task.source_test.map(|d| {
-                crate::eval::evaluate(extractor.as_ref(), &matcher, d, task.encoder, cfg.eval_batch)
-                    .f1()
-            })
-        } else {
-            None
-        };
-        let target_f1 = if cfg.track_target_f1 {
-            task.target_test.map(|d| {
-                crate::eval::evaluate(extractor.as_ref(), &matcher, d, task.encoder, cfg.eval_batch)
-                    .f1()
-            })
-        } else {
-            None
-        };
+        let f1_on = |d| features.evaluate(extractor.as_ref(), &matcher, d).f1();
+        let val = f1_on(task.target_val);
+        let source_f1 = task.source_test.filter(|_| cfg.track_source_f1).map(f1_on);
+        let target_f1 = task.target_test.filter(|_| cfg.track_target_f1).map(f1_on);
         history.push(EpochStat {
             epoch,
             val_f1: val,
@@ -388,14 +368,9 @@ pub fn train_algorithm1(
     // `best` is only absent when the health guard aborted before the
     // first evaluation; fall back to the current (rolled-back) weights.
     let (best_epoch, best_val_f1, snap) = best.unwrap_or_else(|| {
-        let val = crate::eval::evaluate(
-            extractor.as_ref(),
-            &matcher,
-            task.target_val,
-            task.encoder,
-            cfg.eval_batch,
-        )
-        .f1();
+        let val = features
+            .evaluate(extractor.as_ref(), &matcher, task.target_val)
+            .f1();
         (start_epoch, val, Snapshot::capture(&selected))
     });
     snap.restore(&selected);

@@ -31,6 +31,7 @@ use crate::model::DaderModel;
 use crate::snapshot::Snapshot;
 use crate::train::algorithm1::{save_artifact_if_requested, DaTask, TrainOutcome};
 use crate::train::config::{mean_over, EpochStat, TrainConfig};
+use crate::train::features::{gather_rows, PairFeatures};
 use crate::train::health::HealthGuard;
 use crate::train::resume::TrainCheckpoint;
 use crate::train::telemetry::{EpochReport, RunTelemetry};
@@ -53,6 +54,7 @@ pub fn train_algorithm2(
     let mut f_and_m = extractor.params();
     f_and_m.extend(matcher.params());
     let mut opt1 = Adam::new(cfg.lr);
+    let features = PairFeatures::new(task, cfg.eval_batch);
     let mut src_batches = Batcher::new(task.source, task.encoder, cfg.batch_size, &mut rng);
     let iters = cfg
         .iters_per_epoch
@@ -127,9 +129,9 @@ pub fn train_algorithm2(
         let sum_m = 'attempt: loop {
             let mut sum_m = 0.0f32;
             for _ in 0..iters {
-                let bs = src_batches.next_batch(&mut rng);
-                let xs = extractor.extract(&bs);
-                let loss = matcher.matching_loss_weighted(&xs, &bs.labels, pos_weight);
+                let bs = features.sample(&mut src_batches, &mut rng);
+                let xs = features.extract(extractor.as_ref(), &bs);
+                let loss = matcher.matching_loss_weighted(&xs, &bs.labels(), pos_weight);
                 let lm = dader_obs::fault::corrupt_f32("train.loss", loss.item());
                 if let Some(bad) = guard.first_unhealthy(&[lm]) {
                     match guard.back_off() {
@@ -218,29 +220,13 @@ pub fn train_algorithm2(
     // Eq. 10) and the teacher logits (Eq. 12) once, instead of re-running
     // the extractor five times per iteration.
     let feat_dim = extractor.feat_dim();
-    let (cached_real, cached_teacher): (Vec<f32>, Vec<f32>) = {
-        let mut real = vec![0.0f32; task.source.len() * feat_dim];
-        let mut teacher = vec![0.0f32; task.source.len() * 2];
-        for batch in crate::batch::encode_all(task.source, task.encoder, cfg.eval_batch) {
-            let x = extractor.extract(&batch);
-            let logits = matcher.logits(&x);
-            let xd = x.to_vec();
-            let ld = logits.to_vec();
-            for (r, &idx) in batch.indices.iter().enumerate() {
-                real[idx * feat_dim..(idx + 1) * feat_dim]
-                    .copy_from_slice(&xd[r * feat_dim..(r + 1) * feat_dim]);
-                teacher[idx * 2..(idx + 1) * 2].copy_from_slice(&ld[r * 2..(r + 1) * 2]);
-            }
-        }
-        (real, teacher)
-    };
-    let gather = |cache: &[f32], width: usize, indices: &[usize]| -> dader_tensor::Tensor {
-        let mut data = Vec::with_capacity(indices.len() * width);
-        for &i in indices {
-            data.extend_from_slice(&cache[i * width..(i + 1) * width]);
-        }
-        dader_tensor::Tensor::from_vec(data, (indices.len(), width))
-    };
+    let (real, teacher): (Vec<_>, Vec<_>) = features
+        .map_dataset(extractor.as_ref(), task.source, |x| {
+            (x.to_vec(), matcher.logits(&x).to_vec())
+        })
+        .into_iter()
+        .unzip();
+    let (cached_real, cached_teacher) = (real.concat(), teacher.concat());
 
     let mut history = Vec::with_capacity(cfg.epochs);
     let selected: Vec<dader_tensor::Param> = {
@@ -287,14 +273,9 @@ pub fn train_algorithm2(
         // selection can then never return a model worse on validation than
         // the pre-adaptation state, mirroring the paper's best-epoch
         // protocol over 40 fine-grained epochs.
-        let val0 = crate::eval::evaluate(
-            f_prime.as_ref(),
-            &matcher,
-            task.target_val,
-            task.encoder,
-            cfg.eval_batch,
-        )
-        .f1();
+        let val0 = features
+            .evaluate(f_prime.as_ref(), &matcher, task.target_val)
+            .f1();
         Some((0, val0, Snapshot::capture(&selected)))
     };
 
@@ -336,18 +317,18 @@ pub fn train_algorithm2(
             let mut sum_a = 0.0f32;
             let mut sum_g = 0.0f32;
             for _ in 0..sub_iters {
-                let bs = src_batches.next_batch(&mut rng);
-                let bt = tgt_batches.next_batch(&mut rng);
+                let bs = features.sample(&mut src_batches, &mut rng);
+                let bt = features.sample(&mut tgt_batches, &mut rng);
 
                 // Discriminator step (Eq. 10 / Eq. 13). InvGAN's real side is
                 // the cached F(x^S); InvGAN+KD extracts F'(x^S) (once — the
                 // same features also feed the KD student below).
-                let xs_fp = if use_kd { Some(f_prime.extract(&bs)) } else { None };
+                let xs_fp = use_kd.then(|| features.extract(f_prime.as_ref(), &bs));
                 let real = match &xs_fp {
                     Some(x) => x.clone(),
-                    None => gather(&cached_real, feat_dim, &bs.indices),
+                    None => gather_rows(&cached_real, feat_dim, bs.indices()),
                 };
-                let fake = f_prime.extract(&bt);
+                let fake = features.extract(f_prime.as_ref(), &bt);
                 let loss_a = disc.discriminator_loss(&real, &fake);
                 let la = loss_a.item();
                 if let Some(bad) = guard.first_unhealthy(&[la]) {
@@ -380,7 +361,7 @@ pub fn train_algorithm2(
                 // weights, which generator_loss does.
                 let mut loss_fp = disc.generator_loss(&fake).scale(cfg.beta);
                 if use_kd {
-                    let teacher = gather(&cached_teacher, 2, &bs.indices);
+                    let teacher = gather_rows(&cached_teacher, 2, bs.indices());
                     let student = matcher.logits(xs_fp.as_ref().expect("kd features"));
                     loss_fp = loss_fp.add(&distillation_loss(&teacher, &student, cfg.kd_temperature));
                 }
@@ -413,30 +394,10 @@ pub fn train_algorithm2(
             break 'attempt (sum_a, sum_g);
         };
 
-        let val = crate::eval::evaluate(
-            f_prime.as_ref(),
-            &matcher,
-            task.target_val,
-            task.encoder,
-            cfg.eval_batch,
-        )
-        .f1();
-        let source_f1 = if cfg.track_source_f1 {
-            task.source_test.map(|d| {
-                crate::eval::evaluate(f_prime.as_ref(), &matcher, d, task.encoder, cfg.eval_batch)
-                    .f1()
-            })
-        } else {
-            None
-        };
-        let target_f1 = if cfg.track_target_f1 {
-            task.target_test.map(|d| {
-                crate::eval::evaluate(f_prime.as_ref(), &matcher, d, task.encoder, cfg.eval_batch)
-                    .f1()
-            })
-        } else {
-            None
-        };
+        let f1_on = |d| features.evaluate(f_prime.as_ref(), &matcher, d).f1();
+        let val = f1_on(task.target_val);
+        let source_f1 = task.source_test.filter(|_| cfg.track_source_f1).map(f1_on);
+        let target_f1 = task.target_test.filter(|_| cfg.track_target_f1).map(f1_on);
         history.push(EpochStat {
             epoch,
             val_f1: val,

@@ -5,6 +5,7 @@
 pub mod algorithm1;
 pub mod algorithm2;
 pub mod config;
+mod features;
 pub mod health;
 pub mod resume;
 pub mod telemetry;

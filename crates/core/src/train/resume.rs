@@ -147,19 +147,22 @@ impl TrainCheckpoint {
         for word in &mut rng {
             *word = r.take_u64()?;
         }
-        let n_groups = r.take_len(0)?;
+        // Every declared count is checked against the bytes left before
+        // anything is allocated for it: `take_len`'s unit is the fewest
+        // bytes one element can encode in.
+        let n_groups = r.take_len(8)?;
         let mut groups = Vec::with_capacity(n_groups.min(1 << 10));
         for g in 0..n_groups {
             let entries = take_entries(&mut r)?;
             check_finite(&entries, &format!("group{g}"))?;
             groups.push(entries);
         }
-        let n_opts = r.take_len(0)?;
+        let n_opts = r.take_len(4 + 8 + 8)?;
         let mut optimizers = Vec::with_capacity(n_opts.min(1 << 10));
         for _ in 0..n_opts {
             let lr = r.take_f32()?;
             let t = r.take_u64()?;
-            let n_slots = r.take_len(0)?;
+            let n_slots = r.take_len(1)?;
             let mut slots = Vec::with_capacity(n_slots.min(1 << 16));
             for _ in 0..n_slots {
                 slots.push(match r.take_u8()? {
@@ -177,7 +180,7 @@ impl TrainCheckpoint {
             }
             optimizers.push(AdamState { lr, t, slots });
         }
-        let n_batchers = r.take_len(0)?;
+        let n_batchers = r.take_len(8 + 8)?;
         let mut batchers = Vec::with_capacity(n_batchers.min(1 << 10));
         for _ in 0..n_batchers {
             let n = r.take_len(8)?;
@@ -199,7 +202,7 @@ impl TrainCheckpoint {
             }
             tag => return Err(ArtifactError::Malformed(format!("unknown best tag {tag}"))),
         };
-        let n_history = r.take_len(0)?;
+        let n_history = r.take_len(8 + 4 + 1 + 1 + 4 + 4)?;
         let mut history = Vec::with_capacity(n_history.min(1 << 16));
         for _ in 0..n_history {
             history.push(EpochStat {
@@ -253,15 +256,15 @@ fn put_entries(w: &mut ByteWriter, entries: &SnapshotEntries) {
 }
 
 fn take_entries(r: &mut ByteReader<'_>) -> Result<SnapshotEntries, ArtifactError> {
-    let n = r.take_len(0)?;
+    let n = r.take_len(8 + 8)?;
     let mut entries = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         let dims = r.take_dims()?;
         let data = r.take_f32s()?;
-        let expected: usize = dims.iter().product();
-        if expected != data.len() {
+        let expected = dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+        if expected != Some(data.len()) {
             return Err(ArtifactError::Malformed(format!(
-                "snapshot entry shape {dims:?} implies {expected} weights, found {}",
+                "snapshot entry shape {dims:?} does not hold its {} weights",
                 data.len()
             )));
         }
@@ -391,6 +394,90 @@ mod tests {
             Err(ArtifactError::CrcMismatch { .. })
         ));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `sample()`'s framed file with its body replaced by `body`, the
+    /// length and CRC re-sealed so the decoder sees every byte.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut raw = TRAIN_CHECKPOINT_MAGIC.to_vec();
+        raw.extend_from_slice(&1u32.to_le_bytes());
+        raw.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        raw.extend_from_slice(body);
+        raw.extend_from_slice(&crate::artifact::crc32(body).to_le_bytes());
+        raw
+    }
+
+    fn sample_body() -> &'static [u8] {
+        static BODY: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BODY.get_or_init(|| {
+            let path = tmp("fuzz_seed");
+            sample().save_file(&path).unwrap();
+            let raw = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            assert_eq!(
+                raw,
+                sealed(&raw[16..raw.len() - 4]),
+                "framing as save_file writes it"
+            );
+            raw[16..raw.len() - 4].to_vec()
+        })
+    }
+
+    /// One body mutation: `(kind, position, byte, word)`.
+    type Mutation = (u8, usize, u8, u64);
+
+    fn mutate(body: &mut Vec<u8>, (kind, pos, byte, word): Mutation) {
+        let at = pos % (body.len() + 1);
+        match kind {
+            // Flip bits of one byte.
+            0 if at < body.len() => body[at] ^= byte | 1,
+            // Cut the body short.
+            1 => body.truncate(at),
+            // Insert a byte.
+            2 => body.insert(at, byte),
+            // Overwrite 8 bytes with a length-sized word: small, huge or
+            // near a power of two, as a corrupted count would read.
+            _ => {
+                let word = match word % 4 {
+                    0 => word >> 40,
+                    1 => u64::MAX - (word >> 60),
+                    2 => 1u64 << (word % 64),
+                    _ => word,
+                };
+                for (i, b) in word.to_le_bytes().into_iter().enumerate() {
+                    if let Some(slot) = body.get_mut(at + i) {
+                        *slot = b;
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Flipped, truncated, grown or overwritten bodies behind a valid
+        /// frame decode to a checkpoint or a typed error, never a panic
+        /// or an allocation the body cannot back.
+        #[test]
+        fn mutated_bodies_load_or_fail_typed(
+            mutations in proptest::collection::vec(
+                (0u8..4, 0usize..1 << 16, 0u8..=255, 0u64..=u64::MAX),
+                1..4,
+            ),
+        ) {
+            let mut body = sample_body().to_vec();
+            for m in mutations {
+                mutate(&mut body, m);
+            }
+            let path = tmp("fuzz");
+            std::fs::write(&path, sealed(&body)).unwrap();
+            let loaded = TrainCheckpoint::load_file(&path);
+            std::fs::remove_file(&path).unwrap();
+            if let Err(e) = loaded {
+                proptest::prop_assert!(!matches!(e, ArtifactError::CrcMismatch { .. }), "{e}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! same best-snapshot choice, same per-epoch history — for both training
 //! algorithms. Plus: an injected NaN loss triggers rollback + retry (the
 //! run completes identically-shaped), and an unrecoverable NaN storm
-//! aborts with the best model so far instead of panicking.
+//! aborts with the best model so far instead of panicking. Each resume
+//! property runs twice: with a trainable trunk (the taped path) and with a
+//! frozen one, whose pre-head feature table is derived state that the
+//! resumed run rebuilds.
 
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -68,9 +71,9 @@ fn task(f: &Fixture) -> DaTask<'_> {
     }
 }
 
-fn extractor(vocab: usize) -> Box<dyn FeatureExtractor> {
+fn extractor(vocab: usize, frozen: bool) -> Box<dyn FeatureExtractor> {
     let mut rng = StdRng::seed_from_u64(17);
-    Box::new(LmExtractor::new(
+    let lm = LmExtractor::new(
         TransformerConfig {
             vocab,
             dim: 16,
@@ -80,7 +83,12 @@ fn extractor(vocab: usize) -> Box<dyn FeatureExtractor> {
             max_len: 20,
         },
         &mut rng,
-    ))
+    );
+    if frozen {
+        Box::new(lm.freeze_trunk())
+    } else {
+        Box::new(lm)
+    }
 }
 
 fn base_cfg() -> TrainConfig {
@@ -95,8 +103,12 @@ fn base_cfg() -> TrainConfig {
 }
 
 fn run(kind: AlignerKind, cfg: &TrainConfig) -> TrainOutcome {
+    run_with(kind, cfg, false)
+}
+
+fn run_with(kind: AlignerKind, cfg: &TrainConfig, frozen: bool) -> TrainOutcome {
     let f = fixture();
-    let ex = extractor(f.encoder.vocab().len());
+    let ex = extractor(f.encoder.vocab().len(), frozen);
     if kind.uses_algorithm2() {
         train_algorithm2(&task(f), ex, kind, cfg)
     } else {
@@ -104,12 +116,17 @@ fn run(kind: AlignerKind, cfg: &TrainConfig) -> TrainOutcome {
     }
 }
 
-/// The uninterrupted reference trajectory, computed once per algorithm.
-fn reference(kind: AlignerKind) -> &'static TrainOutcome {
-    static A1: OnceLock<TrainOutcome> = OnceLock::new();
-    static A2: OnceLock<TrainOutcome> = OnceLock::new();
-    let cell = if kind.uses_algorithm2() { &A2 } else { &A1 };
-    cell.get_or_init(|| run(kind, &base_cfg()))
+/// The uninterrupted reference trajectory, computed once per algorithm
+/// and trunk.
+fn reference(kind: AlignerKind, frozen: bool) -> &'static TrainOutcome {
+    static CELLS: [OnceLock<TrainOutcome>; 4] = [
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+    ];
+    let cell = &CELLS[2 * usize::from(kind.uses_algorithm2()) + usize::from(frozen)];
+    cell.get_or_init(|| run_with(kind, &base_cfg(), frozen))
 }
 
 fn ckpt_path(tag: &str) -> PathBuf {
@@ -119,7 +136,7 @@ fn ckpt_path(tag: &str) -> PathBuf {
 /// Kill the run (injected panic) at the `kill_hit`-th epoch boundary,
 /// then resume from the checkpoint and verify the trajectory matches the
 /// uninterrupted reference bitwise.
-fn kill_and_resume_matches(kind: AlignerKind, kill_hit: u64, tag: &str) {
+fn kill_and_resume_matches(kind: AlignerKind, kill_hit: u64, tag: &str, frozen: bool) {
     let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::clear();
     let path = ckpt_path(tag);
@@ -131,7 +148,8 @@ fn kill_and_resume_matches(kind: AlignerKind, kill_hit: u64, tag: &str) {
         ..base_cfg()
     };
     fault::arm("train.epoch_end", FaultSpec::at(FaultAction::Panic, kill_hit));
-    let crashed = std::panic::catch_unwind(AssertUnwindSafe(|| run(kind, &interrupted)));
+    let crashed =
+        std::panic::catch_unwind(AssertUnwindSafe(|| run_with(kind, &interrupted, frozen)));
     fault::clear();
     assert!(crashed.is_err(), "the injected crash must fire (hit {kill_hit})");
     assert!(path.exists(), "a checkpoint must survive the crash");
@@ -142,10 +160,10 @@ fn kill_and_resume_matches(kind: AlignerKind, kill_hit: u64, tag: &str) {
         checkpoint_every: 1,
         ..base_cfg()
     };
-    let resumed = run(kind, &resumed_cfg);
+    let resumed = run_with(kind, &resumed_cfg, frozen);
     let _ = std::fs::remove_file(&path);
 
-    let expect = reference(kind);
+    let expect = reference(kind, frozen);
     assert_eq!(
         resumed.best_epoch, expect.best_epoch,
         "{kind}: snapshot choice diverged after resume at hit {kill_hit}"
@@ -170,14 +188,26 @@ proptest! {
     /// Algorithm 1: 3 epochs => 3 epoch-boundary crash sites.
     #[test]
     fn alg1_kill_and_resume_reproduces_run(kill_hit in 1u64..=3) {
-        kill_and_resume_matches(AlignerKind::Mmd, kill_hit, "alg1");
+        kill_and_resume_matches(AlignerKind::Mmd, kill_hit, "alg1", false);
+    }
+
+    /// Algorithm 1 with a frozen trunk, trained through its feature table.
+    #[test]
+    fn alg1_frozen_trunk_kill_and_resume_reproduces_run(kill_hit in 1u64..=3) {
+        kill_and_resume_matches(AlignerKind::Mmd, kill_hit, "alg1_frozen", true);
     }
 
     /// Algorithm 2: 2 step-1 epochs + 2*2 adversarial sub-epochs => 6
     /// crash sites spanning both phases.
     #[test]
     fn alg2_kill_and_resume_reproduces_run(kill_hit in 1u64..=6) {
-        kill_and_resume_matches(AlignerKind::InvGan, kill_hit, "alg2");
+        kill_and_resume_matches(AlignerKind::InvGan, kill_hit, "alg2", false);
+    }
+
+    /// Algorithm 2 with a frozen trunk: `F` and `F'` share its table.
+    #[test]
+    fn alg2_frozen_trunk_kill_and_resume_reproduces_run(kill_hit in 1u64..=6) {
+        kill_and_resume_matches(AlignerKind::InvGanKd, kill_hit, "alg2_frozen", true);
     }
 }
 

@@ -9,6 +9,7 @@
 //! `Vec`, slices, tuples up to arity 4, string-keyed maps, nested derives,
 //! and `#[serde(flatten)]` on a [`Value`]-typed field.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -126,23 +127,43 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Convert `self` into a [`Value`] tree.
     fn serialize_value(&self) -> Value;
+
+    /// The [`Value`] tree of `self`, borrowed when `self` already is one
+    /// (what printers call, so printing a [`Value`] copies nothing).
+    fn serialize_cow(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.serialize_value())
+    }
 }
 
 /// Types reconstructible from the [`Value`] data model.
 pub trait Deserialize: Sized {
     /// Rebuild `Self` from a [`Value`] tree.
     fn deserialize_value(v: &Value) -> Result<Self, Error>;
+
+    /// Rebuild `Self` from an owned [`Value`] tree (what parsers call, so
+    /// parsing into a [`Value`] hands the tree over without a copy).
+    fn deserialize_owned(v: Value) -> Result<Self, Error> {
+        Self::deserialize_value(&v)
+    }
 }
 
 impl Serialize for Value {
     fn serialize_value(&self) -> Value {
         self.clone()
     }
+
+    fn serialize_cow(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
+    }
 }
 
 impl Deserialize for Value {
     fn deserialize_value(v: &Value) -> Result<Value, Error> {
         Ok(v.clone())
+    }
+
+    fn deserialize_owned(v: Value) -> Result<Value, Error> {
+        Ok(v)
     }
 }
 

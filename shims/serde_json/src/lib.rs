@@ -123,14 +123,14 @@ fn write_value(v: &Value, indent: Option<usize>, depth: usize, out: &mut String)
 /// Serialize a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.serialize_value(), None, 0, &mut out);
+    write_value(&value.serialize_cow(), None, 0, &mut out);
     Ok(out)
 }
 
 /// Serialize a value to two-space-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.serialize_value(), Some(2), 0, &mut out);
+    write_value(&value.serialize_cow(), Some(2), 0, &mut out);
     Ok(out)
 }
 
@@ -152,7 +152,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     if p.pos != p.bytes.len() {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
-    Ok(T::deserialize_value(&v)?)
+    Ok(T::deserialize_owned(v)?)
 }
 
 struct Parser<'a> {
@@ -399,6 +399,34 @@ mod tests {
             let back: Value = from_str(&text).unwrap();
             assert_eq!(back, v);
         }
+    }
+
+    #[test]
+    fn value_lines_round_trip_byte_for_byte() {
+        let line = r#"{"a":{"title":"kodak esp","price":"12.5"},"b":{"title":"x \"y\"\n"},"id":7,"xs":[1.5,-2,null,true,[]],"o":{}}"#;
+        let v: Value = from_str(line).unwrap();
+        assert_eq!(to_string(&v).unwrap(), line);
+
+        // A `Value` prints and parses without a copy; a type that builds
+        // its tree gets the same bytes and the same tree.
+        struct Built(Value);
+        impl Serialize for Built {
+            fn serialize_value(&self) -> Value {
+                self.0.clone()
+            }
+        }
+        struct Cloned(Value);
+        impl Deserialize for Cloned {
+            fn deserialize_value(v: &Value) -> Result<Cloned, serde::Error> {
+                Ok(Cloned(v.clone()))
+            }
+        }
+        let built = Built(v.clone());
+        assert_eq!(to_string(&built).unwrap(), line);
+        assert_eq!(to_string_pretty(&built).unwrap(), to_string_pretty(&v).unwrap());
+        assert_eq!(from_str::<Cloned>(line).unwrap().0, v);
+        let pretty = to_string_pretty(&v).unwrap();
+        assert_eq!(from_str::<Value>(&pretty).unwrap(), v);
     }
 
     #[test]
