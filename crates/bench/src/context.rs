@@ -230,4 +230,24 @@ mod tests {
         assert!(!out.history.is_empty());
         assert!((0.0..=100.0).contains(&f1));
     }
+
+    /// Pins the Tiny-scale MLM-pretrained trunk bit for bit: a CRC-32 over
+    /// every snapshot entry's dims and little-endian weights. Pretraining
+    /// runs every taped GEMM layout forward and backward, so any kernel
+    /// change that reorders an accumulation moves this value.
+    #[test]
+    fn tiny_pretrained_trunk_weights_are_pinned() {
+        let ctx = Context::new(Scale::Tiny);
+        let mut bytes = Vec::new();
+        for (dims, w) in ctx.lm.weights.entries() {
+            for &d in dims {
+                bytes.extend_from_slice(&(d as u64).to_le_bytes());
+            }
+            for v in w {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        let crc = dader_core::artifact::crc32(&bytes);
+        assert_eq!(format!("{crc:08x}"), "b4cf4f44", "{} weights", ctx.lm.weights.numel());
+    }
 }
