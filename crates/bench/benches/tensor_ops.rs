@@ -46,7 +46,7 @@ fn bench_parallel_gemm(c: &mut Criterion) {
     // thread override is process-global, so each measurement pins it and
     // the group restores the default at the end. Results feed the README
     // "Performance" table.
-    use dader_tensor::ops::matmul::par_gemm_acc;
+    use dader_tensor::ops::matmul::{gemm, Layout};
     use dader_tensor::pool;
 
     let mut g = c.benchmark_group("parallel_gemm");
@@ -56,11 +56,7 @@ fn bench_parallel_gemm(c: &mut Criterion) {
         for &threads in &[1usize, 2, 4] {
             pool::set_threads(Some(threads));
             g.bench_function(format!("{d}x{d}_t{threads}"), |bench| {
-                bench.iter(|| {
-                    let mut out = vec![0.0f32; d * d];
-                    par_gemm_acc(black_box(&a), black_box(&b), &mut out, d, d, d);
-                    black_box(out)
-                })
+                bench.iter(|| black_box(gemm(Layout::NN, black_box(&a), black_box(&b), 1, d, d, d)))
             });
         }
     }

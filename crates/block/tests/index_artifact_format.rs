@@ -286,3 +286,84 @@ fn loaded_index_serves_and_mutates() {
     let after = loaded.candidates(&entity("a", "kodak esp printer"), 4);
     assert!(after.len() > before.len() || after.len() == 4);
 }
+
+// ------------------------------------------------------------- fuzzing
+
+/// Each kind's tiny index as `save_file` writes it: `(frame, body)`.
+fn sample_files() -> &'static [(Vec<u8>, Vec<u8>)] {
+    static FILES: std::sync::OnceLock<Vec<(Vec<u8>, Vec<u8>)>> = std::sync::OnceLock::new();
+    FILES.get_or_init(|| {
+        kinds()
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| {
+                let path = tmp(&format!("fuzz_seed{i}.ddi"));
+                tiny_index(kind).save_file(&path).unwrap();
+                let raw = std::fs::read(&path).unwrap();
+                std::fs::remove_file(&path).unwrap();
+                let body = raw[16..raw.len() - 4].to_vec();
+                assert_eq!(raw, reframe(&raw, &body), "framing as save_file writes it");
+                (raw, body)
+            })
+            .collect()
+    })
+}
+
+/// One body mutation: `(kind, position, byte, word)`.
+type Mutation = (u8, usize, u8, u64);
+
+fn mutate(body: &mut Vec<u8>, (kind, pos, byte, word): Mutation) {
+    let at = pos % (body.len() + 1);
+    match kind {
+        // Flip bits of one byte.
+        0 if at < body.len() => body[at] ^= byte | 1,
+        // Cut the body short.
+        1 => body.truncate(at),
+        // Insert a byte.
+        2 => body.insert(at, byte),
+        // Overwrite 8 bytes with a length-sized word: small, huge or near
+        // a power of two, as a corrupted count would read.
+        _ => {
+            let word = match word % 4 {
+                0 => word >> 40,
+                1 => u64::MAX - (word >> 60),
+                2 => 1u64 << (word % 64),
+                _ => word,
+            };
+            for (i, b) in word.to_le_bytes().into_iter().enumerate() {
+                if let Some(slot) = body.get_mut(at + i) {
+                    *slot = b;
+                }
+            }
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+    /// Flipped, truncated, grown or overwritten bodies of both index kinds
+    /// behind a valid frame load or fail with a typed error — never a
+    /// panic or an allocation the body cannot back.
+    #[test]
+    fn mutated_index_bodies_load_or_fail_typed(
+        lsh in proptest::bool::ANY,
+        mutations in proptest::collection::vec(
+            (0u8..4, 0usize..1 << 16, 0u8..=255, 0u64..=u64::MAX),
+            1..4,
+        ),
+    ) {
+        let (raw, body) = &sample_files()[lsh as usize];
+        let mut body = body.clone();
+        for m in mutations {
+            mutate(&mut body, m);
+        }
+        let path = tmp(&format!("fuzz{}.ddi", lsh as usize));
+        std::fs::write(&path, reframe(raw, &body)).unwrap();
+        let loaded = StreamingIndex::load_file(&path);
+        std::fs::remove_file(&path).unwrap();
+        if let Err(e) = loaded {
+            proptest::prop_assert!(!matches!(e, ArtifactError::CrcMismatch { .. }), "{e}");
+        }
+    }
+}

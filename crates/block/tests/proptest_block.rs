@@ -100,3 +100,39 @@ proptest! {
         }
     }
 }
+
+/// `parse_csv`'s contract on untrusted text: `Ok`, or a typed [`RowError`]
+/// whose line lies in the input — for the fatal header error and for every
+/// rejected row alike — and never a panic.
+fn check_csv(text: &str) -> Result<(), TestCaseError> {
+    let lines = text.matches('\n').count() + 1;
+    let errors = match dader_block::parse_csv(text) {
+        Ok(table) => table.errors,
+        Err(e) => vec![e],
+    };
+    for e in errors {
+        prop_assert!((1..=lines).contains(&e.line), "line {} of {}: {}", e.line, lines, e);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn parse_csv_random_bytes_are_ok_or_typed(
+        bytes in proptest::collection::vec(0u8..=255, 0..200),
+    ) {
+        check_csv(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn parse_csv_structural_soup_is_ok_or_typed(
+        pieces in proptest::collection::vec(
+            proptest::sample::select(vec![",", "\"", "\n", "\r", "\r\n", "id", "title", "a b", ""]),
+            0..60,
+        ),
+    ) {
+        check_csv(&pieces.concat())?;
+    }
+}

@@ -527,7 +527,7 @@ fn decode_int8_entry(
         }
     }
     let n = r.take_len(1)?;
-    if n != rows * cols {
+    if rows.checked_mul(cols) != Some(n) {
         return Err(ArtifactError::Malformed(format!(
             "int8 entry {name:?}: {n} codes for shape ({rows}, {cols})"
         )));

@@ -36,8 +36,11 @@ impl CheckpointEntry {
     /// Check that `data` holds exactly the element count `shape` implies —
     /// the integrity guard for corrupted or hand-edited checkpoints, run
     /// before any parameter is mutated (and again by the file loader).
+    /// The element count is the shape's product saturated at `usize::MAX`:
+    /// exact whenever it fits, and a mismatch for any shape whose product
+    /// overflows, since no entry can hold that many elements.
     pub fn validate_data_len(&self) -> Result<(), CheckpointError> {
-        let expected: usize = self.shape.iter().product();
+        let expected = self.shape.iter().fold(1usize, |acc, &d| acc.saturating_mul(d));
         if self.data.len() != expected {
             return Err(CheckpointError::DataLenMismatch {
                 name: self.name.clone(),
@@ -85,7 +88,8 @@ pub enum CheckpointError {
         name: String,
         /// Declared shape.
         shape: Vec<usize>,
-        /// Element count the shape implies.
+        /// Element count the shape implies (`usize::MAX` when the product
+        /// overflows).
         expected: usize,
         /// Elements actually present.
         found: usize,
@@ -262,6 +266,25 @@ mod tests {
         );
         // Pre-mutation validation: the first (valid) entry was not written.
         assert_eq!(target[0].snapshot(), vec![9.0, 9.0]);
+    }
+
+    #[test]
+    fn overflowing_shape_product_is_a_typed_mismatch() {
+        // Eight dims of 256 multiply to 2^64: the product must not wrap
+        // to 0 (which an empty entry would then match) or panic.
+        let entry = CheckpointEntry { name: "w".to_string(), shape: vec![256; 8], data: vec![] };
+        assert_eq!(
+            entry.validate_data_len(),
+            Err(CheckpointError::DataLenMismatch {
+                name: "w".to_string(),
+                shape: vec![256; 8],
+                expected: usize::MAX,
+                found: 0,
+            })
+        );
+        // A zero dim still makes the product exactly 0.
+        let empty = CheckpointEntry { name: "e".to_string(), shape: vec![usize::MAX, 2, 0], data: vec![] };
+        assert_eq!(empty.validate_data_len(), Ok(()));
     }
 
     #[test]

@@ -369,3 +369,128 @@ fn instantiate_rejects_inconsistent_manifest() {
         Err(ArtifactError::Malformed(_) | ArtifactError::Encoder(_))
     ));
 }
+
+#[test]
+fn overflowing_shape_product_is_typed_checkpoint_error() {
+    // Eight dims of 256 multiply to 2^64. Each dim passes the reader's
+    // bytes-left bound because a second entry keeps enough bytes behind
+    // it; the product must then be a typed mismatch, not an overflow
+    // panic or a wrap to 0 that the first entry's empty data would match.
+    use dader_core::artifact::{write_framed, ByteWriter, CHECKPOINT_MAGIC};
+    let mut w = ByteWriter::new();
+    w.put_u32(1);
+    w.put_str("overflow");
+    w.put_usize(2);
+    w.put_str("w");
+    w.put_usize(8);
+    for _ in 0..8 {
+        w.put_u64(256);
+    }
+    w.put_f32s(&[]);
+    w.put_str("pad");
+    w.put_usize(1);
+    w.put_u64(100);
+    w.put_f32s(&[0.5; 100]);
+    let path = tmp("overflow.dmc");
+    write_framed(&path, CHECKPOINT_MAGIC, 1, &w.buf).unwrap();
+    let err = Checkpoint::load_file(&path).unwrap_err();
+    std::fs::remove_file(&path).unwrap();
+    assert!(
+        matches!(
+            err,
+            ArtifactError::Checkpoint(CheckpointError::DataLenMismatch { found: 0, .. })
+        ),
+        "got {err}"
+    );
+}
+
+// ------------------------------------------------------------- fuzzing
+
+/// `body` framed as a version-`version` model artifact, its length and
+/// CRC re-sealed so the body decoder sees every byte.
+fn sealed(version: u32, body: &[u8]) -> Vec<u8> {
+    let mut raw = ARTIFACT_MAGIC.to_vec();
+    raw.extend_from_slice(&version.to_le_bytes());
+    raw.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    raw.extend_from_slice(body);
+    raw.extend_from_slice(&dader_core::artifact::crc32(body).to_le_bytes());
+    raw
+}
+
+/// The tiny artifact's body as `save_file` writes it: index 0 is the
+/// version-1 (f32) body, index 1 the version-2 (int8) body.
+fn sample_bodies() -> &'static [Vec<u8>; 2] {
+    static BODIES: std::sync::OnceLock<[Vec<u8>; 2]> = std::sync::OnceLock::new();
+    BODIES.get_or_init(|| {
+        let (art, _, _) = tiny_artifact();
+        let qart = art.quantize().unwrap();
+        [(1, art), (2, qart)].map(|(version, a)| {
+            let path = tmp(&format!("fuzz_seed_v{version}.dma"));
+            a.save_file(&path).unwrap();
+            let raw = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            let body = raw[16..raw.len() - 4].to_vec();
+            assert_eq!(raw, sealed(version, &body), "framing as save_file writes it");
+            body
+        })
+    })
+}
+
+/// One body mutation: `(kind, position, byte, word)`.
+type Mutation = (u8, usize, u8, u64);
+
+fn mutate(body: &mut Vec<u8>, (kind, pos, byte, word): Mutation) {
+    let at = pos % (body.len() + 1);
+    match kind {
+        // Flip bits of one byte.
+        0 if at < body.len() => body[at] ^= byte | 1,
+        // Cut the body short.
+        1 => body.truncate(at),
+        // Insert a byte.
+        2 => body.insert(at, byte),
+        // Overwrite 8 bytes with a length-sized word: small, huge or near
+        // a power of two, as a corrupted count or dim would read.
+        _ => {
+            let word = match word % 4 {
+                0 => word >> 40,
+                1 => u64::MAX - (word >> 60),
+                2 => 1u64 << (word % 64),
+                _ => word,
+            };
+            for (i, b) in word.to_le_bytes().into_iter().enumerate() {
+                if let Some(slot) = body.get_mut(at + i) {
+                    *slot = b;
+                }
+            }
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+    /// Flipped, truncated, grown or overwritten bodies of version-1 and
+    /// version-2 artifacts behind a valid frame load or fail with a typed
+    /// error — never a panic or an allocation the body cannot back.
+    #[test]
+    fn mutated_artifact_bodies_load_or_fail_typed(
+        v2 in proptest::bool::ANY,
+        mutations in proptest::collection::vec(
+            (0u8..4, 0usize..1 << 16, 0u8..=255, 0u64..=u64::MAX),
+            1..4,
+        ),
+    ) {
+        let version = if v2 { 2 } else { 1 };
+        let mut body = sample_bodies()[version as usize - 1].clone();
+        for m in mutations {
+            mutate(&mut body, m);
+        }
+        let path = tmp(&format!("fuzz_v{version}.dma"));
+        std::fs::write(&path, sealed(version, &body)).unwrap();
+        let loaded = ModelArtifact::load_file(&path);
+        std::fs::remove_file(&path).unwrap();
+        if let Err(e) = loaded {
+            proptest::prop_assert!(!matches!(e, ArtifactError::CrcMismatch { .. }), "{e}");
+        }
+    }
+}

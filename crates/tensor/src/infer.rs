@@ -2,13 +2,16 @@
 //!
 //! Every function here operates on plain `f32` slices and allocates **no
 //! autograd nodes** — no `Tensor`, no backward closures, no `Arc` tape
-//! bookkeeping. The f32 kernels are written to be *bitwise identical* to
-//! the corresponding [`crate::Tensor`] forward ops (same loop order, same
-//! accumulation order, same GEMM kernels), which is what the differential
-//! harness in `crates/tensor/tests/infer_kernels.rs` and
-//! `crates/core/tests/infer_parity.rs` locks down.
+//! bookkeeping. The f32 kernels are *bitwise identical* to the
+//! corresponding [`crate::Tensor`] forward ops, which is what the
+//! differential harness in `crates/tensor/tests/infer_kernels.rs` and
+//! `crates/core/tests/infer_parity.rs` locks down. Most are so by
+//! construction: the products run the crate's one GEMM
+//! ([`crate::ops::matmul::gemm`]) and the taped pointwise and softmax
+//! forwards call the kernels here. The rest keep the taped op's loop and
+//! accumulation order.
 //!
-//! On top of the exact-replica kernels, two fast paths are provided:
+//! On top of the exact kernels, two fast paths are provided:
 //!
 //! * [`fused_masked_softmax_rows`] — an online (single-sweep max + rescaled
 //!   exp-sum) softmax with the attention masked-fill folded in, equal to
@@ -17,127 +20,31 @@
 //!   weights with an integer-accumulate GEMM for serving quantized
 //!   artifacts.
 
-use crate::ops::matmul::par_bmm_kernel;
-use crate::pool;
+use crate::ops::matmul::{gemm, Layout};
 
 // ---------------------------------------------------------------------------
-// Dense f32 kernels (bitwise replicas of the taped forward ops)
+// Dense f32 kernels (the taped forward ops' arithmetic)
 // ---------------------------------------------------------------------------
 
-/// `x (m, k) @ w (k, n) + b (n,)` — replicates `Tensor::matmul` +
-/// `add_rowvec` bit for bit: [`gemm_tiled_acc`] keeps the per-output
-/// ascending-k accumulation of the taped `gemm_acc` kernel, and the row
-/// sharding mirrors `par_gemm_acc` (row blocks are independent, so results
-/// match at any thread count).
+/// `x (m, k) @ w (k, n) + b (n,)` — `Tensor::matmul` + `add_rowvec` bit for
+/// bit: the same [`gemm`], then the same row-vector add.
 pub fn linear(x: &[f32], w: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     assert_eq!(x.len(), m * k, "infer::linear: input size mismatch");
     assert_eq!(w.len(), k * n, "infer::linear: weight size mismatch");
     assert_eq!(b.len(), n, "infer::linear: bias size mismatch");
-    let mut out = vec![0.0f32; m * n];
-    if crate::ops::matmul::worth_sharding(m * k * n) {
-        let shards = pool::current_threads().clamp(1, m.max(1));
-        let rows_per = m.div_ceil(shards);
-        pool::for_each_chunk_mut(&mut out, rows_per * n, shards, |s, c_block| {
-            let r0 = s * rows_per;
-            let rows = c_block.len() / n;
-            gemm_tiled_acc(&x[r0 * k..(r0 + rows) * k], w, c_block, rows, k, n);
-        });
-    } else {
-        gemm_tiled_acc(x, w, &mut out, m, k, n);
-    }
+    let mut out = gemm(Layout::NN, x, w, 1, m, k, n);
     add_rowvec_inplace(&mut out, b);
     out
 }
 
-/// Batched `a (bs, m, k) @ b (bs, k, n)` — replicates `Tensor::bmm` bit for
-/// bit (see [`gemm_tiled_acc`] for why the tiling preserves equality).
+/// Batched `a (bs, m, k) @ b (bs, k, n)` — `Tensor::bmm`'s forward.
 pub fn bmm(a: &[f32], b: &[f32], bs: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; bs * m * n];
-    par_bmm_kernel(gemm_tiled_acc, a, b, &mut out, bs, m, k, n);
-    out
+    gemm(Layout::NN, a, b, bs, m, k, n)
 }
 
-/// `C[m,n] += A[m,k] * B[k,n]` with 16/8-column register tiles and the k
-/// loop innermost, so the accumulators live in vector registers instead of
-/// round-tripping through `C` on every k step.
-///
-/// Bitwise-equality argument: every `c[i][j]` still receives its products
-/// in ascending-k order starting from +0.0, the same sequence as the
-/// untiled `gemm_acc`. `gemm_acc`'s zero-skip is also immaterial: a
-/// skipped term contributes `±0.0`, and an accumulator that starts at
-/// +0.0 and only ever adds k-ordered products can never sit at -0.0, so
-/// adding the signed zero back never flips a bit.
-fn gemm_tiled_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        let mut jb = 0;
-        while jb + 16 <= n {
-            let mut acc = [0.0f32; 16];
-            for (kk, &a_ik) in a_row.iter().enumerate() {
-                let b_row = &b[kk * n + jb..kk * n + jb + 16];
-                for (s, &b_kj) in acc.iter_mut().zip(b_row) {
-                    *s += a_ik * b_kj;
-                }
-            }
-            for (o, &s) in c_row[jb..jb + 16].iter_mut().zip(&acc) {
-                *o += s;
-            }
-            jb += 16;
-        }
-        if jb + 8 <= n {
-            let mut acc = [0.0f32; 8];
-            for (kk, &a_ik) in a_row.iter().enumerate() {
-                let b_row = &b[kk * n + jb..kk * n + jb + 8];
-                for (s, &b_kj) in acc.iter_mut().zip(b_row) {
-                    *s += a_ik * b_kj;
-                }
-            }
-            for (o, &s) in c_row[jb..jb + 8].iter_mut().zip(&acc) {
-                *o += s;
-            }
-            jb += 8;
-        }
-        if jb < n {
-            for (kk, &a_ik) in a_row.iter().enumerate() {
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (o, &b_kj) in c_row[jb..].iter_mut().zip(&b_row[jb..]) {
-                    *o += a_ik * b_kj;
-                }
-            }
-        }
-    }
-}
-
-/// Batched `a (bs, m, d) @ b (bs, n, d)^T` — replicates `Tensor::bmm_nt`
-/// bit for bit. The kernel transposes `b` once per batch and accumulates
-/// k-outer/column-inner; every output still sums its products in ascending-k
-/// order — the same sequence as `gemm_nt_acc`'s dot — so results are
-/// bitwise identical while the inner loop runs over contiguous columns and
-/// vectorizes.
+/// Batched `a (bs, m, d) @ b (bs, n, d)^T` — `Tensor::bmm_nt`'s forward.
 pub fn bmm_nt(a: &[f32], b: &[f32], bs: usize, m: usize, d: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; bs * m * n];
-    par_bmm_kernel(gemm_nt_transposed_acc, a, b, &mut out, bs, m, d, n);
-    out
-}
-
-/// `C[m,n] += A[m,k] * B[n,k]^T` by transposing `B` to `(k, n)` and running
-/// the k-outer accumulation. No zero-skip: each `c[i][j]` must receive
-/// exactly the ascending-k product sequence of [`gemm_nt_acc`].
-fn gemm_nt_transposed_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    let mut bt = vec![0.0f32; k * n];
-    for j in 0..n {
-        for (kk, &v) in b[j * k..(j + 1) * k].iter().enumerate() {
-            bt[kk * n + j] = v;
-        }
-    }
-    gemm_tiled_acc(a, &bt, c, m, k, n);
+    gemm(Layout::NT, a, b, bs, m, d, n)
 }
 
 /// Elementwise `a + b`.
@@ -189,29 +96,28 @@ pub fn abs_sub(a: &[f32], b: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// In-place ReLU.
+/// In-place ReLU — `Tensor::relu`'s forward.
 pub fn relu_inplace(x: &mut [f32]) {
     for v in x.iter_mut() {
         *v = v.max(0.0);
     }
 }
 
-/// In-place logistic sigmoid — replicates `Tensor::sigmoid`.
+/// In-place logistic sigmoid — `Tensor::sigmoid`'s forward.
 pub fn sigmoid_inplace(x: &mut [f32]) {
     for v in x.iter_mut() {
         *v = 1.0 / (1.0 + (-*v).exp());
     }
 }
 
-/// In-place tanh — replicates `Tensor::tanh_act`.
+/// In-place tanh — `Tensor::tanh_act`'s forward.
 pub fn tanh_inplace(x: &mut [f32]) {
     for v in x.iter_mut() {
         *v = v.tanh();
     }
 }
 
-/// In-place tanh-approximation GELU — replicates `Tensor::gelu` exactly
-/// (same constant, same op order).
+/// In-place tanh-approximation GELU — `Tensor::gelu`'s forward.
 pub fn gelu_inplace(x: &mut [f32]) {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
     for v in x.iter_mut() {
@@ -255,8 +161,8 @@ pub fn l2_normalize_rows_inplace(x: &mut [f32], rows: usize, d: usize, eps: f32)
     }
 }
 
-/// Softmax over rows of an `(n, d)` buffer, in place — replicates the
-/// private `softmax_rows` used by `Tensor::softmax_last`.
+/// Softmax over rows of an `(n, d)` buffer, in place — the forward of
+/// `Tensor::softmax_last` and the taped softmax losses.
 pub fn softmax_rows_inplace(x: &mut [f32], n: usize, d: usize) {
     assert_eq!(x.len(), n * d, "infer::softmax_rows: size mismatch");
     for r in 0..n {
@@ -486,8 +392,8 @@ pub fn gather_rows(table: &[f32], d: usize, ids: &[usize]) -> Vec<f32> {
     out
 }
 
-/// `(B, S, D) -> (B*h, S, D/h)` head split — replicates
-/// `Tensor::split_heads`.
+/// `(B, S, D) -> (B*h, S, D/h)` head split — `Tensor::split_heads`'s
+/// forward (and `merge_heads`'s backward).
 pub fn split_heads(x: &[f32], b: usize, s: usize, d: usize, h: usize) -> Vec<f32> {
     assert_eq!(d % h, 0, "infer::split_heads: dim {d} not divisible by {h}");
     let dh = d / h;
@@ -504,8 +410,8 @@ pub fn split_heads(x: &[f32], b: usize, s: usize, d: usize, h: usize) -> Vec<f32
     out
 }
 
-/// `(B*h, S, D/h) -> (B, S, D)` head merge — replicates
-/// `Tensor::merge_heads`.
+/// `(B*h, S, D/h) -> (B, S, D)` head merge — `Tensor::merge_heads`'s
+/// forward (and `split_heads`'s backward).
 pub fn merge_heads(x: &[f32], b: usize, s: usize, dh: usize, h: usize) -> Vec<f32> {
     let d = dh * h;
     let mut out = vec![0.0f32; b * s * d];

@@ -1,13 +1,24 @@
 //! Pointwise nonlinearities: ReLU, LeakyReLU, sigmoid, tanh, GELU.
+//!
+//! The forwards call the tape-free kernels in [`crate::infer`], so taped
+//! and tape-free activations are one function.
 
 use std::sync::Arc;
 
+use crate::infer;
 use crate::tensor::Tensor;
+
+/// `data` copied and mapped in place by `kernel`.
+fn mapped(data: &[f32], kernel: fn(&mut [f32])) -> Vec<f32> {
+    let mut out = data.to_vec();
+    kernel(&mut out);
+    out
+}
 
 impl Tensor {
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
-        let data: Vec<f32> = self.data().iter().map(|a| a.max(0.0)).collect();
+        let data = mapped(self.data(), infer::relu_inplace);
         let a_data = self.data_arc();
         Tensor::from_op(
             data,
@@ -48,11 +59,7 @@ impl Tensor {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        let data: Vec<f32> = self
-            .data()
-            .iter()
-            .map(|a| 1.0 / (1.0 + (-a).exp()))
-            .collect();
+        let data = mapped(self.data(), infer::sigmoid_inplace);
         let out = Arc::new(data.clone());
         Tensor::from_op(
             data,
@@ -70,7 +77,7 @@ impl Tensor {
 
     /// Hyperbolic tangent.
     pub fn tanh_act(&self) -> Tensor {
-        let data: Vec<f32> = self.data().iter().map(|a| a.tanh()).collect();
+        let data = mapped(self.data(), infer::tanh_inplace);
         let out = Arc::new(data.clone());
         Tensor::from_op(
             data,
@@ -89,11 +96,7 @@ impl Tensor {
     /// GELU (tanh approximation), the transformer-standard activation.
     pub fn gelu(&self) -> Tensor {
         const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        let data: Vec<f32> = self
-            .data()
-            .iter()
-            .map(|&x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh()))
-            .collect();
+        let data = mapped(self.data(), infer::gelu_inplace);
         let a_data = self.data_arc();
         Tensor::from_op(
             data,

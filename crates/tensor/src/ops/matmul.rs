@@ -1,22 +1,45 @@
 //! Matrix multiplication: rank-2 GEMM, batched rank-3 GEMM (plain and
 //! B-transposed, for attention), and 2-D transpose.
 //!
-//! Kernels use the cache-friendly `i-k-j` loop order recommended for naive
-//! GEMM, which is plenty for the model sizes in this reproduction.
+//! The crate has one GEMM: the serial register-tiled kernel [`gemm_acc`]
+//! and the sharding driver [`gemm_shards`] around it. Every product calls
+//! them — the taped `matmul`/`bmm`/`bmm_nt` forwards and backwards here,
+//! and the tape-free `infer::{linear, bmm, bmm_nt}` — so a taped and a
+//! tape-free product are the same function, not two copies kept in step.
+//! NT and TN products transpose their transposed operand once per call
+//! (every batch of it, for rank 3) into the NN layout the kernel reads.
 //!
-//! Each kernel has a sharded `par_*` variant that splits the *output* into
-//! disjoint row blocks (or batch blocks for rank-3) and runs the serial
-//! kernel per block on the [`crate::pool`]. Because shards never share an
-//! output element and every element keeps the serial kernel's accumulation
-//! order, parallel results are bitwise identical to serial for any shard
-//! or thread count. A size heuristic keeps small products on the serial
-//! fast path where dispatch overhead would dominate.
+//! The driver splits the *output* into disjoint row blocks (rank 2) or
+//! batch blocks (rank 3) and runs the kernel per block on the
+//! [`crate::pool`]. Because shards never share an output element and every
+//! element keeps the kernel's accumulation order, parallel results are
+//! bitwise identical to serial for any shard or thread count. A size
+//! heuristic keeps small products on one thread, where dispatch overhead
+//! would dominate.
 
 use crate::pool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// `C[m,n] += A[m,k] * B[k,n]` over raw slices, i-k-j order.
+/// `C[m,n] += A[m,k] * B[k,n]` over raw slices — the crate's one serial
+/// GEMM kernel.
+///
+/// Each row of `C` is computed in 16- and 8-column register tiles with the
+/// k loop innermost, so the accumulators live in vector registers instead
+/// of round-tripping through `C` on every k step. Every `c[i][j]` receives
+/// its products `a[i][kk] * b[kk][j]` in ascending-k order into an
+/// accumulator that starts at +0.0, and that sum is added to `c[i][j]`
+/// once.
+///
+/// Conditions for the result to be exactly the ascending-k sum, i.e. the
+/// same bits as a naive `i-j-k` triple loop into a zeroed `C`, whatever the
+/// tiling, the shard boundaries or the layout transposition in front:
+/// * `C` holds +0.0 on entry. [`gemm_shards`] — the only caller — hands it
+///   a fresh zeroed block. An accumulator that starts at +0.0 and only adds
+///   products can never sit at -0.0, so `+0.0 + acc` is `acc` bit for bit.
+/// * The inputs are finite. There is no zero-skip: a zero `a[i][kk]` still
+///   multiplies its `b[kk][j]`, so an inf or NaN in `B` reaches `C` as NaN
+///   even where the matching `A` entry is zero, in every layout.
 pub fn gemm_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -24,247 +47,133 @@ pub fn gemm_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let c_row = &mut c[i * n..(i + 1) * n];
-        for (kk, &a_ik) in a_row.iter().enumerate() {
-            if a_ik == 0.0 {
-                continue;
+        let mut jb = 0;
+        while jb + 16 <= n {
+            let mut acc = [0.0f32; 16];
+            for (kk, &a_ik) in a_row.iter().enumerate() {
+                let b_row = &b[kk * n + jb..kk * n + jb + 16];
+                for (s, &b_kj) in acc.iter_mut().zip(b_row) {
+                    *s += a_ik * b_kj;
+                }
             }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row) {
-                *c_ij += a_ik * b_kj;
+            for (o, &s) in c_row[jb..jb + 16].iter_mut().zip(&acc) {
+                *o += s;
+            }
+            jb += 16;
+        }
+        if jb + 8 <= n {
+            let mut acc = [0.0f32; 8];
+            for (kk, &a_ik) in a_row.iter().enumerate() {
+                let b_row = &b[kk * n + jb..kk * n + jb + 8];
+                for (s, &b_kj) in acc.iter_mut().zip(b_row) {
+                    *s += a_ik * b_kj;
+                }
+            }
+            for (o, &s) in c_row[jb..jb + 8].iter_mut().zip(&acc) {
+                *o += s;
+            }
+            jb += 8;
+        }
+        if jb < n {
+            for (kk, &a_ik) in a_row.iter().enumerate() {
+                let b_row = &b[kk * n..(kk + 1) * n];
+                for (o, &b_kj) in c_row[jb..].iter_mut().zip(&b_row[jb..]) {
+                    *o += a_ik * b_kj;
+                }
             }
         }
     }
 }
 
-/// `C[m,n] += A[m,k] * B[n,k]^T` over raw slices.
-pub fn gemm_nt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (x, y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            c[i * n + j] += acc;
-        }
-    }
+/// Operand layout of each product `C = op(A) · op(B)`, `C` being `(m, n)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// `A (m, k) · B (k, n)`.
+    NN,
+    /// `A (m, k) · B (n, k)ᵀ`.
+    NT,
+    /// `A (k, m)ᵀ · B (k, n)`.
+    TN,
 }
 
-/// `C[m,n] += A[k,m]^T * B[k,n]` over raw slices.
-pub fn gemm_tn_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    for kk in 0..k {
-        let a_row = &a[kk * m..(kk + 1) * m];
-        let b_row = &b[kk * n..(kk + 1) * n];
-        for (i, &a_ki) in a_row.iter().enumerate() {
-            if a_ki == 0.0 {
-                continue;
-            }
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row) {
-                *c_ij += a_ki * b_kj;
+/// Transpose each of the `bs` row-major `(rows, cols)` blocks of `x` to
+/// `(cols, rows)`.
+pub(crate) fn transpose_batched(x: &[f32], bs: usize, rows: usize, cols: usize) -> Vec<f32> {
+    debug_assert_eq!(x.len(), bs * rows * cols);
+    let mut out = vec![0.0f32; x.len()];
+    if out.is_empty() {
+        return out;
+    }
+    for (src, dst) in x.chunks_exact(rows * cols).zip(out.chunks_exact_mut(rows * cols)) {
+        for (i, row) in src.chunks_exact(cols).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                dst[j * rows + i] = v;
             }
         }
     }
+    out
 }
 
 /// Multiply-accumulate count below which parallel dispatch costs more than
-/// it saves; products smaller than this stay on the serial kernels.
+/// it saves; products smaller than this stay on one thread.
 pub const PAR_MIN_MACS: usize = 1 << 19;
 
-/// True when a product of `macs` multiply-accumulates should be sharded.
-pub(crate) fn worth_sharding(macs: usize) -> bool {
-    macs >= PAR_MIN_MACS && pool::current_threads() > 1
-}
-
-/// `gemm_tn_acc` restricted to the output-row block starting at `r0` and
-/// covering `c_rows` (`c_rows.len() / n` rows). The kk-ascending walk per
-/// element matches the serial kernel exactly, so block results are bitwise
-/// identical to the corresponding rows of a full serial run.
-fn gemm_tn_acc_rows(a: &[f32], b: &[f32], c_rows: &mut [f32], m: usize, n: usize, r0: usize) {
-    if n == 0 || m == 0 {
-        return;
-    }
-    let rows = c_rows.len() / n;
-    let k = a.len() / m;
-    for kk in 0..k {
-        let a_row = &a[kk * m..(kk + 1) * m];
-        let b_row = &b[kk * n..(kk + 1) * n];
-        for r in 0..rows {
-            let a_ki = a_row[r0 + r];
-            if a_ki == 0.0 {
-                continue;
-            }
-            let c_row = &mut c_rows[r * n..(r + 1) * n];
-            for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row) {
-                *c_ij += a_ki * b_kj;
-            }
+/// `bs` products `op(A) · op(B)`, each `(m, k) · (k, n)` after `layout`'s
+/// transposition, into a fresh `(bs, m, n)` buffer, with an explicit shard
+/// count (exposed so the determinism suite can sweep counts). The output
+/// splits into row blocks when `bs == 1` and into batches otherwise; every
+/// block runs [`gemm_acc`] on a zeroed slice, so the result is bitwise
+/// equal for any shard count.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_shards(
+    layout: Layout,
+    a: &[f32],
+    b: &[f32],
+    bs: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    shards: usize,
+) -> Vec<f32> {
+    assert_eq!(a.len(), bs * m * k, "gemm: lhs size mismatch");
+    assert_eq!(b.len(), bs * k * n, "gemm: rhs size mismatch");
+    let transposed;
+    let (a, b) = match layout {
+        Layout::NN => (a, b),
+        Layout::NT => {
+            transposed = transpose_batched(b, bs, n, k);
+            (a, &transposed[..])
         }
+        Layout::TN => {
+            transposed = transpose_batched(a, bs, k, m);
+            (&transposed[..], b)
+        }
+    };
+    let mut c = vec![0.0f32; bs * m * n];
+    if c.is_empty() {
+        return c;
     }
-}
-
-/// Row-sharded [`gemm_acc`] with an explicit shard count (exposed so the
-/// determinism suite can sweep counts); bitwise equal to serial.
-pub fn par_gemm_acc_shards(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    shards: usize,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    let shards = shards.clamp(1, m);
-    let rows_per = m.div_ceil(shards);
-    pool::for_each_chunk_mut(c, rows_per * n, shards, |s, c_block| {
-        let r0 = s * rows_per;
+    let block_rows = if bs == 1 { m.div_ceil(shards.clamp(1, m)) } else { m };
+    pool::for_each_chunk_mut(&mut c, block_rows * n, shards.max(1), |s, c_block| {
+        let row0 = s * block_rows;
         let rows = c_block.len() / n;
-        gemm_acc(&a[r0 * k..(r0 + rows) * k], b, c_block, rows, k, n);
+        let batch = row0 / m;
+        let a_block = &a[row0 * k..(row0 + rows) * k];
+        gemm_acc(a_block, &b[batch * k * n..(batch + 1) * k * n], c_block, rows, k, n);
     });
+    c
 }
 
-/// Row-sharded [`gemm_nt_acc`] with an explicit shard count; bitwise equal
-/// to serial.
-pub fn par_gemm_nt_acc_shards(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    shards: usize,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    let shards = shards.clamp(1, m);
-    let rows_per = m.div_ceil(shards);
-    pool::for_each_chunk_mut(c, rows_per * n, shards, |s, c_block| {
-        let r0 = s * rows_per;
-        let rows = c_block.len() / n;
-        gemm_nt_acc(&a[r0 * k..(r0 + rows) * k], b, c_block, rows, k, n);
-    });
-}
-
-/// Row-sharded [`gemm_tn_acc`] with an explicit shard count; bitwise equal
-/// to serial. (Shards split the output rows of `C`, i.e. columns of `A`.)
-pub fn par_gemm_tn_acc_shards(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    shards: usize,
-) {
-    let _ = k;
-    if m == 0 || n == 0 {
-        return;
-    }
-    let shards = shards.clamp(1, m);
-    let rows_per = m.div_ceil(shards);
-    pool::for_each_chunk_mut(c, rows_per * n, shards, |s, c_block| {
-        gemm_tn_acc_rows(a, b, c_block, m, n, s * rows_per);
-    });
-}
-
-/// [`gemm_acc`] with automatic shard selection from the pool size and the
-/// product's size; small products take the serial path unchanged.
-pub fn par_gemm_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let _sp = dader_obs::span!("gemm");
-    if worth_sharding(m * k * n) {
-        par_gemm_acc_shards(a, b, c, m, k, n, pool::current_threads());
-    } else {
-        gemm_acc(a, b, c, m, k, n);
-    }
-}
-
-/// [`gemm_nt_acc`] with automatic shard selection.
-pub fn par_gemm_nt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let _sp = dader_obs::span!("gemm");
-    if worth_sharding(m * k * n) {
-        par_gemm_nt_acc_shards(a, b, c, m, k, n, pool::current_threads());
-    } else {
-        gemm_nt_acc(a, b, c, m, k, n);
-    }
-}
-
-/// [`gemm_tn_acc`] with automatic shard selection.
-pub fn par_gemm_tn_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let _sp = dader_obs::span!("gemm");
-    if worth_sharding(m * k * n) {
-        par_gemm_tn_acc_shards(a, b, c, m, k, n, pool::current_threads());
-    } else {
-        gemm_tn_acc(a, b, c, m, k, n);
-    }
-}
-
-/// A serial rank-2 GEMM kernel: `kernel(a, b, c, m, k, n)`.
-pub type GemmKernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-
-/// Batch-sharded rank-3 GEMM with an explicit shard count: applies
-/// `kernel(a_b, b_b, c_b, m, k, n)` — any of the three serial kernels —
-/// to each batch's slices, sharding across batches. Operand strides are
-/// `len / bs`, so the same driver serves plain, NT and TN products.
-/// Bitwise equal to the serial per-batch loop.
-#[allow(clippy::too_many_arguments)]
-pub fn par_bmm_kernel_shards(
-    kernel: GemmKernel,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    bs: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    shards: usize,
-) {
-    if bs == 0 || c.is_empty() {
-        return;
-    }
-    let a_stride = a.len() / bs;
-    let b_stride = b.len() / bs;
-    let c_stride = c.len() / bs;
-    pool::for_each_chunk_mut(c, c_stride, shards.max(1), |batch, c_b| {
-        kernel(
-            &a[batch * a_stride..(batch + 1) * a_stride],
-            &b[batch * b_stride..(batch + 1) * b_stride],
-            c_b,
-            m,
-            k,
-            n,
-        );
-    });
-}
-
-/// Batch-sharded rank-3 GEMM with automatic shard selection.
-#[allow(clippy::too_many_arguments)]
-pub fn par_bmm_kernel(
-    kernel: GemmKernel,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    bs: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let _sp = dader_obs::span!("bmm");
-    let shards = if bs >= 2 && worth_sharding(bs * m * k * n) {
+/// [`gemm_shards`] with the shard count chosen from the pool size and the
+/// product's size; small products stay on one thread.
+pub fn gemm(layout: Layout, a: &[f32], b: &[f32], bs: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
+    let _sp = dader_obs::span!(if bs == 1 { "gemm" } else { "bmm" });
+    let shards = if bs * m * k * n >= PAR_MIN_MACS {
         pool::current_threads()
     } else {
         1
     };
-    par_bmm_kernel_shards(kernel, a, b, c, bs, m, k, n, shards);
+    gemm_shards(layout, a, b, bs, m, k, n, shards)
 }
 
 impl Tensor {
@@ -278,8 +187,7 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let mut data = vec![0.0f32; m * n];
-        par_gemm_acc(self.data(), other.data(), &mut data, m, k, n);
+        let data = gemm(Layout::NN, self.data(), other.data(), 1, m, k, n);
         let a_data = self.data_arc();
         let b_data = other.data_arc();
         Tensor::from_op(
@@ -288,10 +196,8 @@ impl Tensor {
             vec![self.clone(), other.clone()],
             Box::new(move |g| {
                 // dA = G B^T ; dB = A^T G
-                let mut ga = vec![0.0f32; m * k];
-                par_gemm_nt_acc(g, &b_data, &mut ga, m, n, k);
-                let mut gb = vec![0.0f32; k * n];
-                par_gemm_tn_acc(&a_data, g, &mut gb, k, m, n);
+                let ga = gemm(Layout::NT, g, &b_data, 1, m, n, k);
+                let gb = gemm(Layout::TN, &a_data, g, 1, k, m, n);
                 vec![ga, gb]
             }),
         )
@@ -303,8 +209,7 @@ impl Tensor {
         let (bs2, k2, n) = other.shape().as_3d();
         assert_eq!(bs, bs2, "bmm: batch dims differ");
         assert_eq!(k, k2, "bmm: inner dims differ");
-        let mut data = vec![0.0f32; bs * m * n];
-        par_bmm_kernel(gemm_acc, self.data(), other.data(), &mut data, bs, m, k, n);
+        let data = gemm(Layout::NN, self.data(), other.data(), bs, m, k, n);
         let a_data = self.data_arc();
         let b_data = other.data_arc();
         Tensor::from_op(
@@ -313,10 +218,8 @@ impl Tensor {
             vec![self.clone(), other.clone()],
             Box::new(move |g| {
                 // Per batch: dA = G B^T ; dB = A^T G
-                let mut ga = vec![0.0f32; bs * m * k];
-                let mut gb = vec![0.0f32; bs * k * n];
-                par_bmm_kernel(gemm_nt_acc, g, &b_data, &mut ga, bs, m, n, k);
-                par_bmm_kernel(gemm_tn_acc, &a_data, g, &mut gb, bs, k, m, n);
+                let ga = gemm(Layout::NT, g, &b_data, bs, m, n, k);
+                let gb = gemm(Layout::TN, &a_data, g, bs, k, m, n);
                 vec![ga, gb]
             }),
         )
@@ -329,8 +232,7 @@ impl Tensor {
         let (bs2, n, d2) = other.shape().as_3d();
         assert_eq!(bs, bs2, "bmm_nt: batch dims differ");
         assert_eq!(d, d2, "bmm_nt: feature dims differ");
-        let mut data = vec![0.0f32; bs * m * n];
-        par_bmm_kernel(gemm_nt_acc, self.data(), other.data(), &mut data, bs, m, d, n);
+        let data = gemm(Layout::NT, self.data(), other.data(), bs, m, d, n);
         let a_data = self.data_arc();
         let b_data = other.data_arc();
         Tensor::from_op(
@@ -339,10 +241,8 @@ impl Tensor {
             vec![self.clone(), other.clone()],
             Box::new(move |g| {
                 // C = A B^T → dA = G B ; dB = G^T A
-                let mut ga = vec![0.0f32; bs * m * d];
-                let mut gb = vec![0.0f32; bs * n * d];
-                par_bmm_kernel(gemm_acc, g, &b_data, &mut ga, bs, m, n, d);
-                par_bmm_kernel(gemm_tn_acc, g, &a_data, &mut gb, bs, n, m, d);
+                let ga = gemm(Layout::NN, g, &b_data, bs, m, n, d);
+                let gb = gemm(Layout::TN, g, &a_data, bs, n, m, d);
                 vec![ga, gb]
             }),
         )
@@ -351,26 +251,11 @@ impl Tensor {
     /// Rank-2 transpose.
     pub fn transpose2(&self) -> Tensor {
         let (m, n) = self.shape().as_2d();
-        let src = self.data();
-        let mut data = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                data[j * m + i] = src[i * n + j];
-            }
-        }
         Tensor::from_op(
-            data,
+            transpose_batched(self.data(), 1, m, n),
             Shape::from((n, m)),
             vec![self.clone()],
-            Box::new(move |g| {
-                let mut gt = vec![0.0f32; m * n];
-                for j in 0..n {
-                    for i in 0..m {
-                        gt[i * n + j] = g[j * m + i];
-                    }
-                }
-                vec![gt]
-            }),
+            Box::new(move |g| vec![transpose_batched(g, 1, n, m)]),
         )
     }
 }
@@ -462,25 +347,17 @@ mod tests {
     }
 
     // ----------------------------------------------------- golden values
-    // Every kernel variant checked against an order-naive triple loop on
-    // small fixtures with exact integer-valued entries, so any indexing or
+    // Every layout checked against the hand-computed product of two small
+    // fixtures with exact integer-valued entries, so any indexing or
     // transposition slip produces a hard mismatch (float exactness holds
-    // because all products stay well inside f32's integer range).
+    // because all products stay well inside f32's integer range). The
+    // naive triple-loop oracle over arbitrary shapes lives in
+    // `tests/parallel_determinism.rs`.
 
-    /// `C[m,n] += A[m,k] B[k,n]`, naive i-j-kk reference.
-    fn naive_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut c = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                for kk in 0..k {
-                    c[i * n + j] += a[i * k + kk] * b[kk * n + j];
-                }
-            }
-        }
-        c
-    }
+    /// `fix_a34() · fix_b42()`, worked by hand.
+    const GOLDEN: [f32; 6] = [4.0, 1.0, 10.0, -5.0, -7.0, 8.0];
 
-    /// A 3×4 fixture with a zero entry (exercises the zero-skip branch).
+    /// A 3×4 fixture with zero entries.
     fn fix_a34() -> Vec<f32> {
         vec![
             1.0, 2.0, 0.0, -1.0, //
@@ -502,77 +379,63 @@ mod tests {
     #[test]
     fn gemm_acc_golden_3x4_4x2() {
         let (a, b) = (fix_a34(), fix_b42());
-        let expect = naive_gemm(&a, &b, 3, 4, 2);
-        assert_eq!(expect, vec![4.0, 1.0, 10.0, -5.0, -7.0, 8.0]);
+        let expect = GOLDEN.to_vec();
         let mut c = vec![0.0f32; 6];
         gemm_acc(&a, &b, &mut c, 3, 4, 2);
         assert_eq!(c, expect);
         for shards in 1..=4 {
-            let mut c = vec![0.0f32; 6];
-            par_gemm_acc_shards(&a, &b, &mut c, 3, 4, 2, shards);
+            let c = gemm_shards(Layout::NN, &a, &b, 1, 3, 4, 2, shards);
             assert_eq!(c, expect, "shards={shards}");
         }
     }
 
     #[test]
     fn gemm_nt_golden_matches_naive_on_transposed_operand() {
-        // B_nt is (n=2, k=4); its transpose-view product must equal the
-        // naive product with B laid out (4, 2).
+        // B_nt is `fix_b42()` laid out (n=2, k=4): the NT product must
+        // equal the golden NN one.
         let a = fix_a34();
         let b_nt = vec![
             2.0, 0.0, 1.0, -2.0, //
             -1.0, 3.0, 1.0, 4.0,
         ];
-        let b_plain = fix_b42();
-        let expect = naive_gemm(&a, &b_plain, 3, 4, 2);
-        let mut c = vec![0.0f32; 6];
-        gemm_nt_acc(&a, &b_nt, &mut c, 3, 4, 2);
-        assert_eq!(c, expect);
+        let expect = GOLDEN.to_vec();
         for shards in 1..=4 {
-            let mut c = vec![0.0f32; 6];
-            par_gemm_nt_acc_shards(&a, &b_nt, &mut c, 3, 4, 2, shards);
+            let c = gemm_shards(Layout::NT, &a, &b_nt, 1, 3, 4, 2, shards);
             assert_eq!(c, expect, "shards={shards}");
         }
     }
 
     #[test]
     fn gemm_tn_golden_matches_naive_on_transposed_operand() {
-        // A_tn is (k=4, m=3); its transpose-view product must equal the
-        // naive product with A laid out (3, 4). Contains zeros to hit the
-        // zero-skip branch on the TN path too.
+        // A_tn is `fix_a34()` laid out (k=4, m=3): the TN product must
+        // equal the golden NN one.
         let a_tn = vec![
             1.0, 3.0, 0.0, //
             2.0, -2.0, 1.0, //
             0.0, 4.0, -3.0, //
             -1.0, 0.0, 2.0,
         ];
-        let a_plain = fix_a34();
         let b = fix_b42();
-        let expect = naive_gemm(&a_plain, &b, 3, 4, 2);
-        let mut c = vec![0.0f32; 6];
-        gemm_tn_acc(&a_tn, &b, &mut c, 3, 4, 2);
-        assert_eq!(c, expect);
+        let expect = GOLDEN.to_vec();
         for shards in 1..=4 {
-            let mut c = vec![0.0f32; 6];
-            par_gemm_tn_acc_shards(&a_tn, &b, &mut c, 3, 4, 2, shards);
+            let c = gemm_shards(Layout::TN, &a_tn, &b, 1, 3, 4, 2, shards);
             assert_eq!(c, expect, "shards={shards}");
         }
     }
 
     #[test]
     fn zero_skip_rows_accumulate_nothing() {
-        // An all-zero A row must leave its C row exactly at the prior
-        // accumulator value on every variant (the skip branch, not a
-        // multiply-by-zero, so even -0.0/NaN-free semantics are preserved).
+        // An all-zero A row adds exactly +0.0 to its C row: the kernel's
+        // accumulator starts at +0.0 and the zero products cannot move it.
         let a = vec![0.0, 0.0, 0.0, 5.0, 6.0, 7.0];
         let b = vec![1.0; 9];
         let mut c = vec![10.0f32; 6];
         gemm_acc(&a, &b, &mut c, 2, 3, 3);
-        assert_eq!(&c[..3], &[10.0, 10.0, 10.0], "zero row must be skipped");
+        assert_eq!(&c[..3], &[10.0, 10.0, 10.0], "zero row must add nothing");
         assert_eq!(&c[3..], &[28.0, 28.0, 28.0]);
-        let mut c2 = vec![10.0f32; 6];
-        par_gemm_acc_shards(&a, &b, &mut c2, 2, 3, 3, 2);
-        assert_eq!(c, c2);
+        let c2 = gemm_shards(Layout::NN, &a, &b, 1, 2, 3, 3, 2);
+        assert_eq!(c2, vec![0.0, 0.0, 0.0, 18.0, 18.0, 18.0]);
+        assert!(c2[..3].iter().all(|v| v.is_sign_positive()), "+0.0, never -0.0");
     }
 
     #[test]
@@ -588,12 +451,10 @@ mod tests {
             v
         };
         let b: Vec<f32> = fix_b42().iter().chain(fix_b42().iter()).copied().collect();
-        let base = naive_gemm(&fix_a34(), &fix_b42(), 3, 4, 2);
-        let mut expect = base.clone();
-        expect.extend(base.iter().map(|v| -v));
+        let mut expect = GOLDEN.to_vec();
+        expect.extend(GOLDEN.iter().map(|v| -v));
         for shards in 1..=4 {
-            let mut c = vec![0.0f32; 12];
-            par_bmm_kernel_shards(gemm_acc, &a, &b, &mut c, 2, 3, 4, 2, shards);
+            let c = gemm_shards(Layout::NN, &a, &b, 2, 3, 4, 2, shards);
             assert_eq!(c, expect, "shards={shards}");
         }
     }

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use crate::infer;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -155,35 +156,11 @@ impl Tensor {
         let (b, s, d) = self.shape().as_3d();
         assert_eq!(d % h, 0, "split_heads: dim {d} not divisible by {h} heads");
         let dh = d / h;
-        let mut data = vec![0.0f32; b * s * d];
-        let src = self.data();
-        for bi in 0..b {
-            for hi in 0..h {
-                for si in 0..s {
-                    let dst_base = ((bi * h + hi) * s + si) * dh;
-                    let src_base = (bi * s + si) * d + hi * dh;
-                    data[dst_base..dst_base + dh].copy_from_slice(&src[src_base..src_base + dh]);
-                }
-            }
-        }
         Tensor::from_op(
-            data,
+            infer::split_heads(self.data(), b, s, d, h),
             Shape::from((b * h, s, dh)),
             vec![self.clone()],
-            Box::new(move |g| {
-                let mut gi = vec![0.0f32; b * s * d];
-                for bi in 0..b {
-                    for hi in 0..h {
-                        for si in 0..s {
-                            let src_base = ((bi * h + hi) * s + si) * dh;
-                            let dst_base = (bi * s + si) * d + hi * dh;
-                            gi[dst_base..dst_base + dh]
-                                .copy_from_slice(&g[src_base..src_base + dh]);
-                        }
-                    }
-                }
-                vec![gi]
-            }),
+            Box::new(move |g| vec![infer::merge_heads(g, b, s, dh, h)]),
         )
     }
 
@@ -194,35 +171,11 @@ impl Tensor {
         assert_eq!(bh % h, 0, "merge_heads: batch {bh} not divisible by {h} heads");
         let b = bh / h;
         let d = dh * h;
-        let mut data = vec![0.0f32; b * s * d];
-        let src = self.data();
-        for bi in 0..b {
-            for hi in 0..h {
-                for si in 0..s {
-                    let src_base = ((bi * h + hi) * s + si) * dh;
-                    let dst_base = (bi * s + si) * d + hi * dh;
-                    data[dst_base..dst_base + dh].copy_from_slice(&src[src_base..src_base + dh]);
-                }
-            }
-        }
         Tensor::from_op(
-            data,
+            infer::merge_heads(self.data(), b, s, dh, h),
             Shape::from((b, s, d)),
             vec![self.clone()],
-            Box::new(move |g| {
-                let mut gi = vec![0.0f32; b * s * d];
-                for bi in 0..b {
-                    for hi in 0..h {
-                        for si in 0..s {
-                            let dst_base = ((bi * h + hi) * s + si) * dh;
-                            let src_base = (bi * s + si) * d + hi * dh;
-                            gi[dst_base..dst_base + dh]
-                                .copy_from_slice(&g[src_base..src_base + dh]);
-                        }
-                    }
-                }
-                vec![gi]
-            }),
+            Box::new(move |g| vec![infer::split_heads(g, b, s, d, h)]),
         )
     }
 }

@@ -11,22 +11,11 @@ use std::sync::Arc;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
+/// Row softmax of an `(n, d)` buffer into a new one: the tape-free kernel,
+/// so the taped softmaxes and `infer` share one implementation.
 fn softmax_rows(data: &[f32], n: usize, d: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; n * d];
-    for r in 0..n {
-        let row = &data[r * d..(r + 1) * d];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        let orow = &mut out[r * d..(r + 1) * d];
-        for (o, &v) in orow.iter_mut().zip(row) {
-            *o = (v - max).exp();
-            sum += *o;
-        }
-        let inv = 1.0 / sum;
-        for o in orow.iter_mut() {
-            *o *= inv;
-        }
-    }
+    let mut out = data.to_vec();
+    crate::infer::softmax_rows_inplace(&mut out, n, d);
     out
 }
 

@@ -1,27 +1,26 @@
-//! Determinism lockdown for the sharded execution layer: every `par_*`
-//! kernel must be *bitwise* identical to its serial counterpart for any
-//! shape (including empty and single-row) and any shard count 1–8.
+//! Determinism lockdown for the GEMM and its sharding driver: every layout
+//! (NN, NT, TN), at rank 2 and rank 3, must be *bitwise* identical to a
+//! naive triple loop for any shape (including empty and single-row) and
+//! any shard count 1–8.
 //!
-//! The guarantee rests on two invariants the suite exercises:
-//! shards write disjoint output slices, and each output element keeps the
-//! serial kernel's accumulation order. Comparisons use `f32::to_bits`, not
-//! approximate equality — reassociated floating-point sums would fail.
+//! The guarantee rests on two invariants the suite exercises: shards write
+//! disjoint output slices, and each output element receives its products
+//! in ascending-k order starting from +0.0, exactly as the naive loop
+//! does. Comparisons use `f32::to_bits`, not approximate equality —
+//! reassociated floating-point sums, or a stray -0.0, would fail.
 
-use dader_tensor::ops::matmul::{
-    gemm_acc, gemm_nt_acc, gemm_tn_acc, par_bmm_kernel_shards, par_gemm_acc_shards,
-    par_gemm_nt_acc_shards, par_gemm_tn_acc_shards,
-};
+use dader_tensor::ops::matmul::{gemm, gemm_shards, Layout};
 use dader_tensor::pool;
 use proptest::prelude::*;
 
 /// Exact bit equality, element by element.
-fn assert_bitwise_eq(serial: &[f32], parallel: &[f32], what: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(serial.len(), parallel.len(), "{}: length mismatch", what);
-    for (i, (s, p)) in serial.iter().zip(parallel).enumerate() {
+fn assert_bitwise_eq(expect: &[f32], got: &[f32], what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(expect.len(), got.len(), "{}: length mismatch", what);
+    for (i, (s, p)) in expect.iter().zip(got).enumerate() {
         prop_assert_eq!(
             s.to_bits(),
             p.to_bits(),
-            "{}: element {} differs: serial {} vs parallel {}",
+            "{}: element {} differs: expected {} vs got {}",
             what,
             i,
             s,
@@ -31,8 +30,56 @@ fn assert_bitwise_eq(serial: &[f32], parallel: &[f32], what: &str) -> Result<(),
     Ok(())
 }
 
-/// Values with deliberate exact zeros so the kernels' zero-skip branch is
-/// exercised alongside the dense path.
+/// The naive reference: for every output element, sum the products in
+/// ascending k into a +0.0 accumulator, reading each operand at its
+/// layout's index.
+#[allow(clippy::too_many_arguments)]
+fn naive(layout: Layout, a: &[f32], b: &[f32], bs: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; bs * m * n];
+    for batch in 0..bs {
+        let (a, b) = (&a[batch * m * k..], &b[batch * k * n..]);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    let av = match layout {
+                        Layout::TN => a[kk * m + i],
+                        _ => a[i * k + kk],
+                    };
+                    let bv = match layout {
+                        Layout::NT => b[j * k + kk],
+                        _ => b[kk * n + j],
+                    };
+                    acc += av * bv;
+                }
+                c[(batch * m + i) * n + j] = acc;
+            }
+        }
+    }
+    c
+}
+
+/// Check every shard count 1–8 against the naive reference.
+#[allow(clippy::too_many_arguments)]
+fn check_shards(
+    layout: Layout,
+    a: &[f32],
+    b: &[f32],
+    bs: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Result<(), TestCaseError> {
+    let expect = naive(layout, a, b, bs, m, k, n);
+    for shards in 1..=8usize {
+        let got = gemm_shards(layout, a, b, bs, m, k, n, shards);
+        assert_bitwise_eq(&expect, &got, &format!("{layout:?} bs={bs} shards={shards}"))?;
+    }
+    Ok(())
+}
+
+/// Values with deliberate exact zeros so all-zero products are exercised
+/// alongside the dense path.
 fn matrix(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(
         (-2.0f32..2.0).prop_map(|v| if v.abs() < 0.4 { 0.0 } else { v }),
@@ -40,17 +87,27 @@ fn matrix(len: usize) -> impl Strategy<Value = Vec<f32>> {
     )
 }
 
-/// Arbitrary rank-2 problem: dims 0..=8 cover empty, single-row and odd
-/// shapes that don't divide evenly into shards.
+/// Values drawn from +0.0, -0.0 (a fifth of the draws) and signed halves up
+/// to ±4, so products are exact and sums cancel to zero.
+fn signed_zeros(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    let mut values = vec![0.0f32, -0.0, 0.0, -0.0];
+    values.extend((1..=8).flat_map(|v| [v as f32 * 0.5, v as f32 * -0.5]));
+    proptest::collection::vec(proptest::sample::select(values), len)
+}
+
+/// Arbitrary rank-2 problem: `m`, `k` in 0..=8 cover empty, single-row and
+/// odd shapes that don't divide evenly into shards; `n` up to 26 reaches
+/// the kernel's 16- and 8-column tiles and its remainder. Operand lengths
+/// are the same in every layout (`m·k` and `k·n`).
 fn rank2() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>)> {
-    (0usize..9, 0usize..9, 0usize..9)
+    (0usize..9, 0usize..9, 0usize..27)
         .prop_flat_map(|(m, k, n)| (Just(m), Just(k), Just(n), matrix(m * k), matrix(k * n)))
 }
 
-/// Arbitrary rank-3 problem (batch 0..=4).
+/// Arbitrary rank-3 problem (batch 0..=4, `n` up to 19).
 #[allow(clippy::type_complexity)]
 fn rank3() -> impl Strategy<Value = (usize, usize, usize, usize, Vec<f32>, Vec<f32>)> {
-    (0usize..5, 0usize..7, 0usize..7, 0usize..7).prop_flat_map(|(bs, m, k, n)| {
+    (0usize..5, 0usize..7, 0usize..7, 0usize..20).prop_flat_map(|(bs, m, k, n)| {
         (
             Just(bs),
             Just(m),
@@ -62,102 +119,73 @@ fn rank3() -> impl Strategy<Value = (usize, usize, usize, usize, Vec<f32>, Vec<f
     })
 }
 
+/// A problem over [`signed_zeros`] values, batch 1..=3 and widths up to
+/// 26 (a 16-column tile, an 8-column tile and a remainder).
+#[allow(clippy::type_complexity)]
+fn signed_problem() -> impl Strategy<Value = (usize, usize, usize, usize, Vec<f32>, Vec<f32>)> {
+    (1usize..4, 0usize..6, 0usize..7, 0usize..27).prop_flat_map(|(bs, m, k, n)| {
+        (
+            Just(bs),
+            Just(m),
+            Just(k),
+            Just(n),
+            signed_zeros(bs * m * k),
+            signed_zeros(bs * k * n),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn gemm_acc_sharded_is_bitwise_serial((m, k, n, a, b) in rank2()) {
-        let mut serial = vec![0.0f32; m * n];
-        gemm_acc(&a, &b, &mut serial, m, k, n);
-        for shards in 1..=8usize {
-            let mut par = vec![0.0f32; m * n];
-            par_gemm_acc_shards(&a, &b, &mut par, m, k, n, shards);
-            assert_bitwise_eq(&serial, &par, &format!("gemm_acc shards={shards}"))?;
-        }
+        check_shards(Layout::NN, &a, &b, 1, m, k, n)?;
     }
 
     #[test]
-    fn gemm_nt_acc_sharded_is_bitwise_serial((m, k, n, a, bt) in rank2()) {
-        // Reinterpret the second operand as (n, k) for the NT layout.
-        let b: Vec<f32> = bt;
-        let b = {
-            let mut v = b;
-            v.resize(n * k, 0.5);
-            v
-        };
-        let mut serial = vec![0.0f32; m * n];
-        gemm_nt_acc(&a, &b, &mut serial, m, k, n);
-        for shards in 1..=8usize {
-            let mut par = vec![0.0f32; m * n];
-            par_gemm_nt_acc_shards(&a, &b, &mut par, m, k, n, shards);
-            assert_bitwise_eq(&serial, &par, &format!("gemm_nt_acc shards={shards}"))?;
-        }
+    fn gemm_nt_acc_sharded_is_bitwise_serial((m, k, n, a, b) in rank2()) {
+        // The second operand reads as (n, k).
+        check_shards(Layout::NT, &a, &b, 1, m, k, n)?;
     }
 
     #[test]
-    fn gemm_tn_acc_sharded_is_bitwise_serial((m, k, n, at, b) in rank2()) {
-        // The TN layout reads A as (k, m).
-        let a = {
-            let mut v = at;
-            v.resize(k * m, -0.75);
-            v
-        };
-        let mut serial = vec![0.0f32; m * n];
-        gemm_tn_acc(&a, &b, &mut serial, m, k, n);
-        for shards in 1..=8usize {
-            let mut par = vec![0.0f32; m * n];
-            par_gemm_tn_acc_shards(&a, &b, &mut par, m, k, n, shards);
-            assert_bitwise_eq(&serial, &par, &format!("gemm_tn_acc shards={shards}"))?;
-        }
+    fn gemm_tn_acc_sharded_is_bitwise_serial((m, k, n, a, b) in rank2()) {
+        // The first operand reads as (k, m).
+        check_shards(Layout::TN, &a, &b, 1, m, k, n)?;
     }
 
     #[test]
     fn batched_gemm_sharded_is_bitwise_serial((bs, m, k, n, a, b) in rank3()) {
-        let mut serial = vec![0.0f32; bs * m * n];
-        for batch in 0..bs {
-            gemm_acc(
-                &a[batch * m * k..(batch + 1) * m * k],
-                &b[batch * k * n..(batch + 1) * k * n],
-                &mut serial[batch * m * n..(batch + 1) * m * n],
-                m, k, n,
-            );
-        }
-        for shards in 1..=8usize {
-            let mut par = vec![0.0f32; bs * m * n];
-            par_bmm_kernel_shards(gemm_acc, &a, &b, &mut par, bs, m, k, n, shards);
-            assert_bitwise_eq(&serial, &par, &format!("bmm shards={shards}"))?;
-        }
+        check_shards(Layout::NN, &a, &b, bs, m, k, n)?;
     }
 
     #[test]
-    fn batched_nt_sharded_is_bitwise_serial((bs, m, d, n, a, bt) in rank3()) {
-        // NT per batch: A (m, d), B (n, d); regenerate B at its layout size.
-        let b = {
-            let mut v = bt;
-            v.resize(bs * n * d, 1.25);
-            v
-        };
-        let mut serial = vec![0.0f32; bs * m * n];
-        for batch in 0..bs {
-            gemm_nt_acc(
-                &a[batch * m * d..(batch + 1) * m * d],
-                &b[batch * n * d..(batch + 1) * n * d],
-                &mut serial[batch * m * n..(batch + 1) * m * n],
-                m, d, n,
-            );
-        }
-        for shards in 1..=8usize {
-            let mut par = vec![0.0f32; bs * m * n];
-            par_bmm_kernel_shards(gemm_nt_acc, &a, &b, &mut par, bs, m, d, n, shards);
-            assert_bitwise_eq(&serial, &par, &format!("bmm_nt shards={shards}"))?;
+    fn batched_nt_sharded_is_bitwise_serial((bs, m, k, n, a, b) in rank3()) {
+        check_shards(Layout::NT, &a, &b, bs, m, k, n)?;
+    }
+
+    #[test]
+    fn batched_tn_sharded_is_bitwise_serial((bs, m, k, n, a, b) in rank3()) {
+        check_shards(Layout::TN, &a, &b, bs, m, k, n)?;
+    }
+
+    /// ±0.0 and mixed signs in both operands, every layout, ranks 2 and 3,
+    /// widths across the 16- and 8-column tiles and the remainder: the
+    /// sign of every zero in the output matches the naive loop (a +0.0
+    /// accumulator never turns into -0.0).
+    #[test]
+    fn signed_zeros_match_naive_oracle_bitwise((bs, m, k, n, a, b) in signed_problem()) {
+        for layout in [Layout::NN, Layout::NT, Layout::TN] {
+            check_shards(layout, &a, &b, bs, m, k, n)?;
         }
     }
 }
 
-/// Above the heuristic threshold the auto `par_*` entry points actually
-/// dispatch to the pool; they must still be bitwise-serial. Thread-count
-/// override is process-global, so all override manipulation stays inside
-/// this single test.
+/// Above the heuristic threshold the auto [`gemm`] entry point actually
+/// dispatches to the pool; it must still be bitwise-serial in every layout
+/// and rank. Thread-count override is process-global, so all override
+/// manipulation stays inside this single test.
 #[test]
 fn auto_dispatch_above_threshold_is_bitwise_serial() {
     let d = 160usize; // d^3 = 4.1M MACs, comfortably above PAR_MIN_MACS
@@ -166,29 +194,32 @@ fn auto_dispatch_above_threshold_is_bitwise_serial() {
         .map(|i| if i % 7 == 0 { 0.0 } else { ((i % 23) as f32 - 11.0) * 0.13 })
         .collect();
     let b: Vec<f32> = (0..d * d).map(|i| ((i % 19) as f32 - 9.0) * 0.21).collect();
+    // Rank 2 (row shards) and rank 3 with two batches (batch shards).
+    let shapes = [(1usize, d, d, d), (2, d / 2, d, d / 2)];
 
     let prev = pool::set_threads(Some(1));
-    let mut serial_acc = vec![0.0f32; d * d];
-    dader_tensor::ops::matmul::par_gemm_acc(&a, &b, &mut serial_acc, d, d, d);
-    let mut serial_nt = vec![0.0f32; d * d];
-    dader_tensor::ops::matmul::par_gemm_nt_acc(&a, &b, &mut serial_nt, d, d, d);
-    let mut serial_tn = vec![0.0f32; d * d];
-    dader_tensor::ops::matmul::par_gemm_tn_acc(&a, &b, &mut serial_tn, d, d, d);
+    let layouts = [Layout::NN, Layout::NT, Layout::TN];
+    let serial: Vec<Vec<f32>> = shapes
+        .iter()
+        .flat_map(|&(bs, m, k, n)| {
+            let (a, b) = (&a[..bs * m * k], &b[..bs * k * n]);
+            layouts.map(|l| gemm(l, a, b, bs, m, k, n))
+        })
+        .collect();
 
     for threads in [2usize, 3, 4, 8] {
         pool::set_threads(Some(threads));
-        let mut par = vec![0.0f32; d * d];
-        dader_tensor::ops::matmul::par_gemm_acc(&a, &b, &mut par, d, d, d);
-        assert!(serial_acc.iter().zip(&par).all(|(s, p)| s.to_bits() == p.to_bits()),
-            "par_gemm_acc at {threads} threads diverged");
-        let mut par = vec![0.0f32; d * d];
-        dader_tensor::ops::matmul::par_gemm_nt_acc(&a, &b, &mut par, d, d, d);
-        assert!(serial_nt.iter().zip(&par).all(|(s, p)| s.to_bits() == p.to_bits()),
-            "par_gemm_nt_acc at {threads} threads diverged");
-        let mut par = vec![0.0f32; d * d];
-        dader_tensor::ops::matmul::par_gemm_tn_acc(&a, &b, &mut par, d, d, d);
-        assert!(serial_tn.iter().zip(&par).all(|(s, p)| s.to_bits() == p.to_bits()),
-            "par_gemm_tn_acc at {threads} threads diverged");
+        let mut expect = serial.iter();
+        for &(bs, m, k, n) in &shapes {
+            let (a, b) = (&a[..bs * m * k], &b[..bs * k * n]);
+            for layout in layouts {
+                let par = gemm(layout, a, b, bs, m, k, n);
+                assert!(
+                    expect.next().unwrap().iter().zip(&par).all(|(s, p)| s.to_bits() == p.to_bits()),
+                    "{layout:?} bs={bs} at {threads} threads diverged"
+                );
+            }
+        }
     }
     pool::set_threads(prev);
 }
