@@ -26,7 +26,7 @@
 
 use dader_bench::{chat, match_tables, note, write_json, BlockerKind, Context, Scale};
 use dader_block::{pairs_completeness, reduction_ratio, Blocker, LshParams, MinHashLshBlocker, TfIdfBlocker};
-use dader_core::{AlignerKind, DaderModel, EntityPair};
+use dader_core::{AlignerKind, EntityPair, InferenceModel};
 use dader_datagen::{DatasetId, Entity};
 use dader_text::PairEncoder;
 use serde::Value;
@@ -95,7 +95,7 @@ fn set_f1(predicted: &[(usize, usize)], truth: &[(usize, usize)]) -> f64 {
 
 /// Exhaustively score every cross pair and keep the positives.
 fn exhaustive_matches(
-    model: &DaderModel,
+    model: &InferenceModel,
     encoder: &PairEncoder,
     left: &[Entity],
     right: &[Entity],
@@ -236,8 +236,8 @@ fn main() {
         let t = unzip_pairs(&splits.test.pairs[..n]);
         let batch = 32;
 
-        let exhaustive = exhaustive_matches(&out.model, ctx.encoder(), &t.left, &t.right, batch);
-        let infer = dader_core::InferenceModel::from_model(&out.model);
+        let infer = InferenceModel::from_model(&out.model);
+        let exhaustive = exhaustive_matches(&infer, ctx.encoder(), &t.left, &t.right, batch);
         let blocked = {
             let _g = dader_obs::span!("bench.e2e.blocked");
             match_tables(

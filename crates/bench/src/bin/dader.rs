@@ -333,9 +333,9 @@ fn cmd_run(args: &[String]) {
     );
 }
 
-/// Compare the taped f32 evaluation against the tape-free int8 inference
-/// path: quantize the trained model's weights, then — single-threaded, so
-/// the numbers reflect kernel cost rather than parallelism — measure
+/// Compare the tape-free f32 evaluation against the tape-free int8 one:
+/// quantize the trained model's weights, then — single-threaded, so the
+/// numbers reflect kernel cost rather than parallelism — measure
 /// throughput and per-dataset test F1 over the whole benchmark suite.
 fn eval_comparison(ctx: &Context, model: &dader_core::DaderModel) -> Option<BenchEvalComparison> {
     let art = ModelArtifact::capture("eval comparison", model, ctx.encoder());
@@ -353,6 +353,7 @@ fn eval_comparison(ctx: &Context, model: &dader_core::DaderModel) -> Option<Benc
             return None;
         }
     };
+    let f32m = InferenceModel::from_model(model);
     let prev = dader_tensor::pool::set_threads(Some(1));
     let mut datasets = Vec::new();
     let mut pairs = 0usize;
@@ -361,7 +362,7 @@ fn eval_comparison(ctx: &Context, model: &dader_core::DaderModel) -> Option<Benc
         let splits = ctx.target_splits(id);
         pairs += splits.test.len();
         let t = std::time::Instant::now();
-        let mf = model.evaluate(&splits.test, ctx.encoder(), 32);
+        let mf = f32m.evaluate(&splits.test, ctx.encoder(), 32);
         f32_s += t.elapsed().as_secs_f64();
         let t = std::time::Instant::now();
         let mq = int8.evaluate(&splits.test, ctx.encoder(), 32);

@@ -147,12 +147,12 @@ pub struct BenchEvalDataset {
     pub delta: f64,
 }
 
-/// Eval-phase comparison of the taped f32 forward against the tape-free
-/// int8-quantized inference path: single-thread throughput for both, the
-/// speedup, and per-dataset F1 deltas.
+/// Eval-phase comparison of the tape-free f32 forward against the
+/// int8-quantized one: single-thread throughput for both, the speedup,
+/// and per-dataset F1 deltas.
 #[derive(Clone, Debug, Serialize)]
 pub struct BenchEvalComparison {
-    /// Pairs/second through the taped f32 evaluation (single thread).
+    /// Pairs/second through the tape-free f32 evaluation (single thread).
     pub f32_pairs_per_second: f64,
     /// Pairs/second through the tape-free int8 evaluation (single thread).
     pub int8_pairs_per_second: f64,

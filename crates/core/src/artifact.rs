@@ -689,10 +689,11 @@ impl ModelArtifact {
         Ok(art)
     }
 
-    /// Rebuild the model and its pair encoder: construct a fresh `(F, M)`
-    /// from the stored architecture, then restore the checkpointed
-    /// weights. The result predicts bit-identically to the captured model.
-    pub fn instantiate(&self) -> Result<(DaderModel, PairEncoder), ArtifactError> {
+    /// Check that the manifest's pieces fit together, so a model built
+    /// from it can score what its encoder produces: the matcher reads the
+    /// extractor's feature width, the extractor embeds exactly the stored
+    /// vocabulary, and an LM has a position for every encoded token.
+    pub(crate) fn check_manifest(&self) -> Result<(), ArtifactError> {
         if self.extractor.feat_dim() != self.matcher_dim {
             return Err(ArtifactError::Malformed(format!(
                 "extractor feat_dim {} disagrees with matcher input width {}",
@@ -700,14 +701,30 @@ impl ModelArtifact {
                 self.matcher_dim
             )));
         }
-        let encoder = PairEncoder::from_state(self.encoder.clone()).map_err(ArtifactError::Encoder)?;
-        if self.extractor.vocab() != encoder.vocab().len() {
+        if self.extractor.vocab() != self.encoder.tokens.len() {
             return Err(ArtifactError::Malformed(format!(
                 "extractor embeds {} tokens but the stored vocabulary has {}",
                 self.extractor.vocab(),
-                encoder.vocab().len()
+                self.encoder.tokens.len()
             )));
         }
+        if let ExtractorSpec::Lm(cfg) = self.extractor {
+            if self.encoder.max_len > cfg.max_len {
+                return Err(ArtifactError::Malformed(format!(
+                    "encoder max_len {} exceeds the LM's {} positions",
+                    self.encoder.max_len, cfg.max_len
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Rebuild the model and its pair encoder: construct a fresh `(F, M)`
+    /// from the stored architecture, then restore the checkpointed
+    /// weights. The result predicts bit-identically to the captured model.
+    pub fn instantiate(&self) -> Result<(DaderModel, PairEncoder), ArtifactError> {
+        self.check_manifest()?;
+        let encoder = PairEncoder::from_state(self.encoder.clone()).map_err(ArtifactError::Encoder)?;
         // The init RNG is irrelevant — every parameter is overwritten by
         // the checkpoint restore below — but keep it fixed anyway.
         let mut rng = StdRng::seed_from_u64(0);

@@ -1,13 +1,6 @@
 //! Evaluation: precision, recall and F1 over the matching class, the
 //! paper's metric (Section 6.1).
 
-use dader_datagen::ErDataset;
-use dader_text::PairEncoder;
-
-use crate::batch::encode_all;
-use crate::extractor::FeatureExtractor;
-use crate::matcher::Matcher;
-
 /// Confusion-matrix-derived metrics for the matching (positive) class.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Metrics {
@@ -67,38 +60,6 @@ impl Metrics {
             100.0 * 2.0 * p * r / (p + r)
         }
     }
-}
-
-/// Run a trained `(F, M)` over a dataset and compute [`Metrics`].
-///
-/// Inference is data-parallel: batches are sharded across the engine pool
-/// (`dader_tensor::pool`), each batch runs the identical serial
-/// extract-and-predict path, and per-batch results are concatenated in
-/// batch order. Metrics are therefore identical at any thread count.
-pub fn evaluate(
-    extractor: &dyn FeatureExtractor,
-    matcher: &Matcher,
-    dataset: &ErDataset,
-    encoder: &PairEncoder,
-    batch_size: usize,
-) -> Metrics {
-    let _sp = dader_obs::span!("eval");
-    let batches = encode_all(dataset, encoder, batch_size);
-    let per_batch = dader_tensor::pool::par_map(
-        &batches,
-        dader_tensor::pool::current_threads(),
-        |batch| {
-            let features = extractor.extract(batch);
-            (matcher.predict(&features), batch.labels.clone())
-        },
-    );
-    let mut preds = Vec::with_capacity(dataset.len());
-    let mut labels = Vec::with_capacity(dataset.len());
-    for (p, l) in per_batch {
-        preds.extend(p);
-        labels.extend(l);
-    }
-    Metrics::from_predictions(&preds, &labels)
 }
 
 /// Mean and sample standard deviation of repeated F1 measurements — the

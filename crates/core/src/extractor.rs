@@ -170,7 +170,9 @@ pub trait FeatureExtractor: Send + Sync {
     /// Output feature dimension `d`.
     fn feat_dim(&self) -> usize;
 
-    /// All trainable parameters.
+    /// Every parameter, frozen trunk weights included — not only the
+    /// trainable ones. Snapshots, checkpoints, artifacts and
+    /// [`crate::InferenceModel::from_parts`] rely on the full list.
     fn params(&self) -> Vec<Param>;
 
     /// Deep copy with fresh parameter ids (InvGAN's `F' <- F` clone).

@@ -1,15 +1,17 @@
 //! The tape-free serving model.
 //!
-//! [`InferenceModel`] replays the exact forward computation of
-//! [`DaderModel`](crate::model::DaderModel) — extractor and matcher — on
-//! plain `f32` buffers via [`dader_nn::infer`], allocating no autograd
-//! nodes. Built [`from_model`](InferenceModel::from_model) (dense f32,
-//! exact two-pass softmax) it is **bitwise identical** to the taped
-//! forward; built [`from_artifact`](InferenceModel::from_artifact) from a
-//! quantized version-2 artifact it runs integer-accumulate GEMMs over the
-//! int8 weights and the fused single-sweep masked softmax. The
-//! differential harness in `crates/core/tests/infer_parity.rs` locks both
-//! claims down.
+//! [`InferenceModel`] is the one scoring forward of a trained `(F, M)`:
+//! evaluation ([`DaderModel::evaluate`] builds one per call), ad-hoc pair
+//! scoring and serving all run it. It replays the exact forward
+//! computation of the taped extractor and matcher on plain `f32` buffers
+//! via [`dader_nn::infer`], allocating no autograd nodes. Built
+//! [`from_parts`](InferenceModel::from_parts) (dense f32, exact two-pass
+//! softmax) it is **bitwise identical** to the taped forward; built
+//! [`from_artifact`](InferenceModel::from_artifact) from a quantized
+//! version-2 artifact it runs integer-accumulate GEMMs over the int8
+//! weights and the fused single-sweep masked softmax. The differential
+//! harness in `crates/core/tests/infer_parity.rs` locks both claims down
+//! against a taped reference loop of its own.
 
 use std::collections::HashMap;
 
@@ -26,32 +28,37 @@ use dader_text::PairEncoder;
 use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::batch::{encode_all, EncodedBatch};
 use crate::eval::Metrics;
-use crate::extractor::{overlap_features, segment_masks, ExtractorSpec, OVERLAP_FEATURES};
+use crate::extractor::{
+    overlap_features, segment_masks, ExtractorSpec, FeatureExtractor, OVERLAP_FEATURES,
+};
+use crate::matcher::Matcher;
 use crate::model::{DaderModel, EntityPair};
 
 /// Weight store the inference layers are assembled from: dense entries by
-/// name plus the int8 side table of a quantized artifact.
+/// name plus the int8 side table of a quantized artifact. Each entry is
+/// moved out as its layer takes it, so a weight is copied once — when the
+/// store is filled — and never again.
 struct Weights {
     entries: HashMap<String, (Vec<usize>, Vec<f32>)>,
     quantized: HashMap<String, QuantizedMatrix>,
 }
 
 impl Weights {
-    fn tensor(&self, name: &str, shape: &[usize]) -> Result<Vec<f32>, String> {
+    fn tensor(&mut self, name: &str, shape: &[usize]) -> Result<Vec<f32>, String> {
         let (s, data) = self
             .entries
-            .get(name)
+            .remove(name)
             .ok_or_else(|| format!("missing weight tensor {name:?}"))?;
         if s != shape {
             return Err(format!("weight {name:?} has shape {s:?}, expected {shape:?}"));
         }
-        Ok(data.clone())
+        Ok(data)
     }
 
-    fn linear(&self, prefix: &str, in_dim: usize, out_dim: usize) -> Result<InferLinear, String> {
+    fn linear(&mut self, prefix: &str, in_dim: usize, out_dim: usize) -> Result<InferLinear, String> {
         let wname = format!("{prefix}.w");
         let b = self.tensor(&format!("{prefix}.b"), &[out_dim])?;
-        let w = match self.quantized.get(&wname) {
+        let w = match self.quantized.remove(&wname) {
             Some(q) => {
                 if (q.rows, q.cols) != (in_dim, out_dim) {
                     return Err(format!(
@@ -59,21 +66,21 @@ impl Weights {
                         q.rows, q.cols
                     ));
                 }
-                InferMatrix::Int8(q.clone())
+                InferMatrix::Int8(q)
             }
             None => InferMatrix::F32(self.tensor(&wname, &[in_dim, out_dim])?),
         };
         Ok(InferLinear::new(w, b, in_dim, out_dim))
     }
 
-    fn norm(&self, prefix: &str, dim: usize) -> Result<InferLayerNorm, String> {
+    fn norm(&mut self, prefix: &str, dim: usize) -> Result<InferLayerNorm, String> {
         Ok(InferLayerNorm::new(
             self.tensor(&format!("{prefix}.gamma"), &[dim])?,
             self.tensor(&format!("{prefix}.beta"), &[dim])?,
         ))
     }
 
-    fn gru_cell(&self, prefix: &str, input: usize, hidden: usize) -> Result<InferGruCell, String> {
+    fn gru_cell(&mut self, prefix: &str, input: usize, hidden: usize) -> Result<InferGruCell, String> {
         Ok(InferGruCell::new(
             self.linear(&format!("{prefix}.wx_z"), input, hidden)?,
             self.linear(&format!("{prefix}.wh_z"), hidden, hidden)?,
@@ -108,17 +115,24 @@ pub struct InferenceModel {
 }
 
 impl InferenceModel {
-    /// Build from a live training model. The result is dense f32 with the
-    /// exact two-pass softmax, and predicts **bitwise identically** to the
-    /// taped forward.
-    pub fn from_model(model: &DaderModel) -> InferenceModel {
-        let mut entries = HashMap::new();
-        for p in model.params() {
-            entries.insert(p.name().to_string(), (p.shape().dims().to_vec(), p.snapshot()));
-        }
+    /// Build from a live extractor and matcher — a snapshot of their
+    /// current weights. The result is dense f32 with the exact two-pass
+    /// softmax, and predicts **bitwise identically** to the taped forward.
+    pub fn from_parts(extractor: &dyn FeatureExtractor, matcher: &Matcher) -> InferenceModel {
+        let entries = extractor
+            .params()
+            .into_iter()
+            .chain(matcher.params())
+            .map(|p| (p.name().to_string(), (p.shape().dims().to_vec(), p.snapshot())))
+            .collect();
         let weights = Weights { entries, quantized: HashMap::new() };
-        Self::build(&weights, model.extractor.spec(), model.extractor.feat_dim(), false)
-            .unwrap_or_else(|e| panic!("InferenceModel::from_model: {e}"))
+        Self::build(weights, extractor.spec(), extractor.feat_dim(), false)
+            .unwrap_or_else(|e| panic!("InferenceModel::from_parts: {e}"))
+    }
+
+    /// [`from_parts`](InferenceModel::from_parts) of a trained model.
+    pub fn from_model(model: &DaderModel) -> InferenceModel {
+        Self::from_parts(model.extractor.as_ref(), &model.matcher)
     }
 
     /// Build from a loaded artifact. Dense (version-1) artifacts get the
@@ -126,37 +140,26 @@ impl InferenceModel {
     /// quantized (version-2) artifacts run int8 integer-accumulate GEMMs
     /// and the fused masked softmax.
     pub fn from_artifact(artifact: &ModelArtifact) -> Result<InferenceModel, ArtifactError> {
-        if artifact.extractor.feat_dim() != artifact.matcher_dim {
-            return Err(ArtifactError::Malformed(format!(
-                "extractor feat_dim {} disagrees with matcher input width {}",
-                artifact.extractor.feat_dim(),
-                artifact.matcher_dim
-            )));
-        }
-        if artifact.extractor.vocab() != artifact.encoder.tokens.len() {
-            return Err(ArtifactError::Malformed(format!(
-                "extractor embeds {} tokens but the stored vocabulary has {}",
-                artifact.extractor.vocab(),
-                artifact.encoder.tokens.len()
-            )));
-        }
-        let mut entries = HashMap::new();
-        for e in &artifact.checkpoint.entries {
-            entries.insert(e.name.clone(), (e.shape.clone(), e.data.clone()));
-        }
-        let quantized: HashMap<String, QuantizedMatrix> =
-            artifact.quantized.iter().cloned().collect();
-        let fused = artifact.is_quantized();
+        artifact.check_manifest()?;
+        let entries = artifact
+            .checkpoint
+            .entries
+            .iter()
+            .map(|e| (e.name.clone(), (e.shape.clone(), e.data.clone())))
+            .collect();
+        let quantized = artifact.quantized.iter().cloned().collect();
         let weights = Weights { entries, quantized };
-        Self::build(&weights, artifact.extractor, artifact.matcher_dim, fused)
+        Self::build(weights, artifact.extractor, artifact.matcher_dim, artifact.is_quantized())
             .map_err(ArtifactError::Malformed)
     }
 
+    /// `quantized` marks an int8 artifact: attention then takes the fused
+    /// masked softmax, and [`InferenceModel::is_quantized`] reports it.
     fn build(
-        weights: &Weights,
+        mut weights: Weights,
         spec: ExtractorSpec,
         matcher_dim: usize,
-        fused: bool,
+        quantized: bool,
     ) -> Result<InferenceModel, String> {
         let extractor = match spec {
             ExtractorSpec::Lm(cfg) => {
@@ -172,7 +175,7 @@ impl InferenceModel {
                         weights.linear(&format!("{p}.attn.wo"), cfg.dim, cfg.dim)?,
                         cfg.heads,
                         cfg.dim,
-                        fused,
+                        quantized,
                     );
                     layers.push(InferEncoderLayer::new(
                         attn,
@@ -180,7 +183,7 @@ impl InferenceModel {
                         weights.linear(&format!("{p}.ff1"), cfg.dim, cfg.ffn_dim)?,
                         weights.linear(&format!("{p}.ff2"), cfg.ffn_dim, cfg.dim)?,
                         weights.norm(&format!("{p}.ln2"), cfg.dim)?,
-                        fused,
+                        quantized,
                     ));
                 }
                 let encoder =
@@ -201,12 +204,7 @@ impl InferenceModel {
             }
         };
         let matcher = weights.linear("matcher.l0", matcher_dim, 2)?;
-        Ok(InferenceModel {
-            extractor,
-            matcher,
-            feat_dim: matcher_dim,
-            quantized: !weights.quantized.is_empty(),
-        })
+        Ok(InferenceModel { extractor, matcher, feat_dim: matcher_dim, quantized })
     }
 
     /// Output feature dimension `d` of the extractor.
@@ -285,8 +283,12 @@ impl InferenceModel {
         logits.chunks(2).map(|c| c[1]).collect()
     }
 
-    /// Evaluate on a labeled dataset — same data-parallel batch sharding
-    /// as the taped [`crate::eval::evaluate`].
+    /// Run over a labeled dataset and compute [`Metrics`].
+    ///
+    /// Inference is data-parallel: batches are sharded across the engine
+    /// pool (`dader_tensor::pool`), each batch runs the identical serial
+    /// extract-and-predict path, and per-batch results are concatenated in
+    /// batch order. Metrics are therefore identical at any thread count.
     pub fn evaluate(&self, dataset: &ErDataset, encoder: &PairEncoder, batch_size: usize) -> Metrics {
         let _sp = dader_obs::span!("infer.eval");
         let batches = encode_all(dataset, encoder, batch_size);
@@ -302,9 +304,19 @@ impl InferenceModel {
         Metrics::from_predictions(&preds, &labels)
     }
 
-    /// Predict ad-hoc attribute-value pairs (the serving path): identical
-    /// dedup/tokenize-once/chunking behavior to
-    /// [`DaderModel::predict_pairs`], tape-free forward.
+    /// Predict ad-hoc attribute-value pairs (the serving path): returns
+    /// `(label, match probability)` per input pair, in input order,
+    /// processing at most `batch_size` *unique* pairs per forward pass.
+    ///
+    /// Repeated work is collapsed before it reaches the extractor:
+    /// identical `(a, b)` pairs are forwarded once and their result
+    /// scattered back to every occurrence, and each distinct record is
+    /// tokenized once even when it appears in many pairs (full-table
+    /// matching probes one left record against many right candidates).
+    /// Both folds are bitwise-exact — encoding is `serialize_entity`
+    /// composed with [`PairEncoder::encode_serialized`], and per-row
+    /// results are independent of batch composition (locked in by the
+    /// serve batching test), so outputs are identical to the naive path.
     pub fn predict_pairs(
         &self,
         pairs: &[EntityPair],

@@ -83,7 +83,7 @@ pub use artifact::{ArtifactError, ModelArtifact};
 pub use batch::{encode_all, Batcher, EncodedBatch};
 pub use checkpoint::{Checkpoint, CheckpointEntry, CheckpointError};
 pub use distance::{dataset_features, dataset_mmd};
-pub use eval::{evaluate, mean_std, Metrics};
+pub use eval::{mean_std, Metrics};
 pub use extractor::{ExtractorSpec, FeatureExtractor, LmExtractor, RnnExtractor};
 pub use infer::InferenceModel;
 pub use matcher::Matcher;

@@ -1,18 +1,16 @@
 //! The trained `(F, M)` bundle used for prediction after adaptation.
 
-use std::collections::HashMap;
-
 use dader_datagen::ErDataset;
 use dader_tensor::Param;
 use dader_text::PairEncoder;
 
-use crate::batch::encode_all;
-use crate::eval::{evaluate, Metrics};
+use crate::eval::Metrics;
 use crate::extractor::FeatureExtractor;
+use crate::infer::InferenceModel;
 use crate::matcher::Matcher;
 
 /// An owned ad-hoc entity pair: two attribute-value lists, as accepted by
-/// [`DaderModel::predict_pairs`].
+/// [`InferenceModel::predict_pairs`].
 pub type EntityPair = (Vec<(String, String)>, Vec<(String, String)>);
 
 /// A feature extractor plus matcher, ready to predict on a target dataset.
@@ -24,126 +22,26 @@ pub struct DaderModel {
 }
 
 impl DaderModel {
-    /// All trainable parameters of both components.
+    /// Every parameter of both components, extractor first — frozen trunk
+    /// weights included, so a snapshot, checkpoint or [`InferenceModel`]
+    /// built from this list holds the whole model.
     pub fn params(&self) -> Vec<Param> {
         let mut p = self.extractor.params();
         p.extend(self.matcher.params());
         p
     }
 
-    /// Evaluate on a labeled dataset.
+    /// Evaluate on a labeled dataset through the tape-free
+    /// [`InferenceModel`].
     pub fn evaluate(&self, dataset: &ErDataset, encoder: &PairEncoder, batch_size: usize) -> Metrics {
-        evaluate(self.extractor.as_ref(), &self.matcher, dataset, encoder, batch_size)
-    }
-
-    /// Predict matching labels for every pair of a dataset.
-    pub fn predict(&self, dataset: &ErDataset, encoder: &PairEncoder, batch_size: usize) -> Vec<usize> {
-        let mut preds = Vec::with_capacity(dataset.len());
-        for batch in encode_all(dataset, encoder, batch_size) {
-            let f = self.extractor.extract(&batch);
-            preds.extend(self.matcher.predict(&f));
-        }
-        preds
-    }
-
-    /// Matching probabilities for every pair of a dataset.
-    pub fn match_probs(&self, dataset: &ErDataset, encoder: &PairEncoder, batch_size: usize) -> Vec<f32> {
-        let mut probs = Vec::with_capacity(dataset.len());
-        for batch in encode_all(dataset, encoder, batch_size) {
-            let f = self.extractor.extract(&batch);
-            probs.extend(self.matcher.match_probs(&f));
-        }
-        probs
-    }
-
-    /// Predict ad-hoc attribute-value pairs (the serving path): returns
-    /// `(label, match probability)` per input pair, in input order,
-    /// processing at most `batch_size` *unique* pairs per forward pass.
-    ///
-    /// Repeated work is collapsed before it reaches the extractor:
-    /// identical `(a, b)` pairs are forwarded once and their result
-    /// scattered back to every occurrence, and each distinct record is
-    /// tokenized once even when it appears in many pairs (full-table
-    /// matching probes one left record against many right candidates).
-    /// Both folds are bitwise-exact — encoding is `serialize_entity`
-    /// composed with [`PairEncoder::encode_serialized`], and per-row
-    /// results are independent of batch composition (locked in by the
-    /// serve batching test), so outputs are identical to the naive path.
-    pub fn predict_pairs(
-        &self,
-        pairs: &[EntityPair],
-        encoder: &PairEncoder,
-        batch_size: usize,
-    ) -> Vec<(usize, f32)> {
-        assert!(batch_size > 0, "batch size must be positive");
-        let seq = encoder.max_len();
-
-        let mut first: HashMap<&EntityPair, usize> = HashMap::new();
-        let mut unique: Vec<&EntityPair> = Vec::new();
-        let slots: Vec<usize> = pairs
-            .iter()
-            .map(|p| {
-                *first.entry(p).or_insert_with(|| {
-                    unique.push(p);
-                    unique.len() - 1
-                })
-            })
-            .collect();
-
-        let mut serialized: HashMap<&[(String, String)], Vec<usize>> = HashMap::new();
-        for (a, b) in unique.iter().map(|p| (&p.0, &p.1)) {
-            serialized
-                .entry(a.as_slice())
-                .or_insert_with(|| encoder.serialize_entity(a));
-            serialized
-                .entry(b.as_slice())
-                .or_insert_with(|| encoder.serialize_entity(b));
-        }
-
-        let mut uniq_out = Vec::with_capacity(unique.len());
-        for chunk in unique.chunks(batch_size) {
-            let mut ids = Vec::with_capacity(chunk.len() * seq);
-            let mut mask = Vec::with_capacity(chunk.len() * seq);
-            for (a, b) in chunk.iter().map(|p| (&p.0, &p.1)) {
-                let e = encoder.encode_serialized(&serialized[a.as_slice()], &serialized[b.as_slice()]);
-                ids.extend(e.ids);
-                mask.extend(e.mask);
-            }
-            let batch = crate::batch::EncodedBatch {
-                ids,
-                mask,
-                batch: chunk.len(),
-                seq,
-                labels: vec![0; chunk.len()],
-                indices: (0..chunk.len()).collect(),
-            };
-            let f = self.extractor.extract(&batch);
-            let preds = self.matcher.predict(&f);
-            let probs = self.matcher.match_probs(&f);
-            uniq_out.extend(preds.into_iter().zip(probs));
-        }
-        slots.into_iter().map(|s| uniq_out[s]).collect()
-    }
-
-    /// Dump features for every pair (t-SNE visualizations, distance
-    /// analyses).
-    pub fn features(&self, dataset: &ErDataset, encoder: &PairEncoder, batch_size: usize) -> Vec<Vec<f32>> {
-        let mut out = Vec::with_capacity(dataset.len());
-        let d = self.extractor.feat_dim();
-        for batch in encode_all(dataset, encoder, batch_size) {
-            let f = self.extractor.extract(&batch);
-            let data = f.to_vec();
-            for r in 0..batch.batch {
-                out.push(data[r * d..(r + 1) * d].to_vec());
-            }
-        }
-        out
+        InferenceModel::from_model(self).evaluate(dataset, encoder, batch_size)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::encode_all;
     use crate::extractor::LmExtractor;
     use dader_datagen::DatasetId;
     use dader_nn::TransformerConfig;
@@ -176,30 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_covers_dataset() {
-        let (m, d, enc) = tiny_model_and_data();
-        let preds = m.predict(&d, &enc, 8);
-        assert_eq!(preds.len(), d.len());
-        assert!(preds.iter().all(|&p| p <= 1));
-    }
-
-    #[test]
-    fn probs_in_unit_interval() {
-        let (m, d, enc) = tiny_model_and_data();
-        for p in m.match_probs(&d, &enc, 8) {
-            assert!((0.0..=1.0).contains(&p));
-        }
-    }
-
-    #[test]
-    fn features_have_feat_dim() {
-        let (m, d, enc) = tiny_model_and_data();
-        let feats = m.features(&d, &enc, 8);
-        assert_eq!(feats.len(), d.len());
-        assert!(feats.iter().all(|f| f.len() == 16));
-    }
-
-    #[test]
     fn evaluate_returns_sane_metrics() {
         let (m, d, enc) = tiny_model_and_data();
         let metrics = m.evaluate(&d, &enc, 8);
@@ -210,14 +84,19 @@ mod tests {
     #[test]
     fn predict_pairs_matches_dataset_path() {
         let (m, d, enc) = tiny_model_and_data();
+        let m = InferenceModel::from_model(&m);
         let pairs: Vec<EntityPair> = d
             .pairs
             .iter()
             .map(|p| (p.a.attrs.clone(), p.b.attrs.clone()))
             .collect();
         let ad_hoc = m.predict_pairs(&pairs, &enc, 7); // uneven final chunk
-        let preds = m.predict(&d, &enc, 8);
-        let probs = m.match_probs(&d, &enc, 8);
+        let (mut preds, mut probs) = (Vec::new(), Vec::new());
+        for batch in encode_all(&d, &enc, 8) {
+            let f = m.extract(&batch);
+            preds.extend(m.predict(&f));
+            probs.extend(m.match_probs(&f));
+        }
         assert_eq!(ad_hoc.len(), d.len());
         for (i, (label, prob)) in ad_hoc.iter().enumerate() {
             assert_eq!(*label, preds[i]);
@@ -228,6 +107,7 @@ mod tests {
     #[test]
     fn predict_pairs_dedup_is_bitwise_invisible() {
         let (m, d, enc) = tiny_model_and_data();
+        let m = InferenceModel::from_model(&m);
         let base: Vec<EntityPair> = d
             .pairs
             .iter()

@@ -22,6 +22,7 @@ use crate::aligner::{coral_loss, mmd_loss, AlignerKind};
 use crate::batch::Batcher;
 use crate::distance::dataset_mmd;
 use crate::extractor::FeatureExtractor;
+use crate::infer::InferenceModel;
 use crate::matcher::Matcher;
 use crate::model::DaderModel;
 use crate::snapshot::Snapshot;
@@ -108,9 +109,9 @@ pub fn train_multi_source(
             }
             opt.step(&trainable, &grads);
         }
-        let val =
-            crate::eval::evaluate(extractor.as_ref(), &matcher, target_val, encoder, cfg.eval_batch)
-                .f1();
+        let val = InferenceModel::from_parts(extractor.as_ref(), &matcher)
+            .evaluate(target_val, encoder, cfg.eval_batch)
+            .f1();
         history.push(EpochStat {
             epoch,
             val_f1: val,

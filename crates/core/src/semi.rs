@@ -13,6 +13,7 @@ use rand::SeedableRng;
 use crate::aligner::{distillation_loss, AlignerKind, Discriminator};
 use crate::batch::{encode_all, Batcher};
 use crate::extractor::FeatureExtractor;
+use crate::infer::InferenceModel;
 use crate::matcher::Matcher;
 use crate::model::DaderModel;
 use crate::snapshot::Snapshot;
@@ -141,7 +142,8 @@ pub fn train_semi_invgan_kd(
             opt_fp.step(&fp_and_m, &grads);
         }
 
-        let val = crate::eval::evaluate(f_prime.as_ref(), &matcher, target_val, encoder, cfg.eval_batch)
+        let val = InferenceModel::from_parts(f_prime.as_ref(), &matcher)
+            .evaluate(target_val, encoder, cfg.eval_batch)
             .f1();
         history.push(EpochStat {
             epoch,

@@ -651,10 +651,19 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         assert!(art.description.contains("NoDA") || art.description.contains("NoDa"));
         let (reloaded, renc) = art.instantiate().unwrap();
-        assert_eq!(
-            reloaded.predict(&val, &renc, 16),
-            out.model.predict(&val, &enc, 16)
-        );
+        let pairs: Vec<crate::EntityPair> = val
+            .pairs
+            .iter()
+            .map(|p| (p.a.attrs.clone(), p.b.attrs.clone()))
+            .collect();
+        let scores = |m: &DaderModel, enc: &PairEncoder| {
+            crate::InferenceModel::from_model(m)
+                .predict_pairs(&pairs, enc, 16)
+                .into_iter()
+                .map(|(label, prob)| (label, prob.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(scores(&reloaded, &renc), scores(&out.model, &enc));
     }
 
     #[test]

@@ -588,7 +588,7 @@ mod tests {
             encoder: &enc,
         };
         let out = train_algorithm2(&task, tiny_extractor(enc.vocab().len()), AlignerKind::InvGan, &quick_cfg());
-        let preds = out.model.predict(&val, &enc, 16);
-        assert_eq!(preds.len(), val.len());
+        let m = out.model.evaluate(&val, &enc, 16);
+        assert_eq!(m.tp + m.fp + m.fn_ + m.tn, val.len());
     }
 }

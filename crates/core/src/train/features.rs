@@ -170,7 +170,8 @@ impl<'a> PairFeatures<'a> {
         }
     }
 
-    /// [`crate::eval::evaluate`] of `(extractor, matcher)` on `dataset`.
+    /// [`Metrics`] of `(extractor, matcher)` on `dataset`, as
+    /// [`crate::InferenceModel::evaluate`] scores them.
     pub fn evaluate(
         &self,
         extractor: &dyn FeatureExtractor,

@@ -3,7 +3,7 @@
 //! a panic or a silently-wrong model.
 
 use dader_core::artifact::{ArtifactError, ModelArtifact, ARTIFACT_MAGIC, FORMAT_VERSION};
-use dader_core::{Checkpoint, CheckpointError, DaderModel, LmExtractor, Matcher};
+use dader_core::{Checkpoint, CheckpointError, DaderModel, InferenceModel, LmExtractor, Matcher};
 use dader_nn::TransformerConfig;
 use dader_text::{PairEncoder, Vocab};
 use rand::rngs::StdRng;
@@ -361,6 +361,7 @@ fn instantiate_rejects_inconsistent_manifest() {
         bad.instantiate(),
         Err(ArtifactError::Malformed(_))
     ));
+    assert!(matches!(InferenceModel::from_artifact(&bad), Err(ArtifactError::Malformed(_))));
     // vocabulary shrunk behind the extractor's back
     let mut bad = art.clone();
     bad.encoder.tokens.pop();
@@ -368,6 +369,26 @@ fn instantiate_rejects_inconsistent_manifest() {
         bad.instantiate(),
         Err(ArtifactError::Malformed(_) | ArtifactError::Encoder(_))
     ));
+    assert!(matches!(InferenceModel::from_artifact(&bad), Err(ArtifactError::Malformed(_))));
+}
+
+#[test]
+fn encoder_longer_than_lm_positions_is_malformed() {
+    // A CRC-valid file whose encoder pads to 32 tokens over an LM with 16
+    // positions loads, but no forward could score it: both model builders
+    // must refuse it with a typed error instead of building a model that
+    // panics on every request.
+    let (mut art, _, _) = tiny_artifact();
+    art.encoder.max_len = 32;
+    let path = tmp("long_encoder.dma");
+    art.save_file(&path).unwrap();
+    let back = ModelArtifact::load_file(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert!(matches!(back.instantiate(), Err(ArtifactError::Malformed(_))));
+    assert!(matches!(InferenceModel::from_artifact(&back), Err(ArtifactError::Malformed(_))));
+    // At the LM's own length the same artifact serves.
+    art.encoder.max_len = 16;
+    assert!(InferenceModel::from_artifact(&art).is_ok());
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use dader_core::artifact::ModelArtifact;
 use dader_core::train::{train_da, DaTask, TrainConfig};
-use dader_core::{AlignerKind, LmExtractor};
+use dader_core::{AlignerKind, DaderModel, EntityPair, InferenceModel, LmExtractor};
 use dader_datagen::DatasetId;
 use dader_nn::TransformerConfig;
 use dader_text::{PairEncoder, Vocab};
@@ -71,17 +71,22 @@ fn train_save_reload_is_bitwise_identical() {
     );
 
     // predictions, probabilities and F1 are bitwise identical
+    let pairs: Vec<EntityPair> = test
+        .pairs
+        .iter()
+        .map(|p| (p.a.attrs.clone(), p.b.attrs.clone()))
+        .collect();
+    let scores = |m: &DaderModel, enc: &PairEncoder| {
+        InferenceModel::from_model(m)
+            .predict_pairs(&pairs, enc, 16)
+            .into_iter()
+            .map(|(label, prob)| (label, prob.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(scores(&reloaded, &renc), scores(&out.model, &encoder));
     assert_eq!(
-        reloaded.predict(test, &renc, 16),
-        out.model.predict(test, &encoder, 16)
-    );
-    assert_eq!(
-        reloaded.match_probs(test, &renc, 16),
-        out.model.match_probs(test, &encoder, 16)
-    );
-    assert_eq!(
-        reloaded.evaluate(test, &renc, 16).f1(),
-        out.model.evaluate(test, &encoder, 16).f1()
+        reloaded.evaluate(test, &renc, 16).f1().to_bits(),
+        out.model.evaluate(test, &encoder, 16).f1().to_bits()
     );
 
     // provenance captured

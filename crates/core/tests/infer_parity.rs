@@ -17,7 +17,7 @@
 
 use dader_core::artifact::ModelArtifact;
 use dader_core::extractor::{FeatureExtractor, LmExtractor, RnnExtractor};
-use dader_core::{encode_all, DaderModel, EntityPair, InferenceModel, Matcher};
+use dader_core::{encode_all, DaderModel, EntityPair, InferenceModel, Matcher, Metrics};
 use dader_datagen::{DatasetId, ErDataset};
 use dader_nn::TransformerConfig;
 use dader_text::{PairEncoder, Vocab};
@@ -67,6 +67,18 @@ fn rnn_model(encoder: &PairEncoder, seed: u64) -> DaderModel {
 fn sample_dataset(encoder: &PairEncoder) -> ErDataset {
     let _ = encoder;
     DatasetId::FZ.generate_scaled(7, 60)
+}
+
+/// The taped reference the tape-free model is held to: `(label, match
+/// probability)` per pair of `dataset`, in order, through the training
+/// extractor and matcher.
+fn taped_scores(model: &DaderModel, dataset: &ErDataset, encoder: &PairEncoder) -> Vec<(usize, f32)> {
+    let mut out = Vec::with_capacity(dataset.len());
+    for batch in encode_all(dataset, encoder, 16) {
+        let f = model.extractor.extract(&batch);
+        out.extend(model.matcher.predict(&f).into_iter().zip(model.matcher.match_probs(&f)));
+    }
+    out
 }
 
 /// Features, logits, predictions and probabilities must match the taped
@@ -119,20 +131,17 @@ fn predict_pairs_is_bitwise_identical_including_dedup() {
     let infer = InferenceModel::from_model(&model);
 
     let dataset = sample_dataset(&encoder);
-    // Duplicate pairs on purpose: the dedup + scatter path must behave
-    // identically on both sides.
-    let mut pairs: Vec<EntityPair> = dataset
-        .pairs
+    let reference = taped_scores(&model, &dataset, &encoder);
+    // Duplicate pairs on purpose: the dedup + scatter path must hand
+    // every occurrence its pair's taped result.
+    let order: Vec<usize> = (0..20).chain([3, 0]).collect();
+    let pairs: Vec<EntityPair> = order
         .iter()
-        .take(20)
-        .map(|p| (p.a.attrs.clone(), p.b.attrs.clone()))
+        .map(|&i| (dataset.pairs[i].a.attrs.clone(), dataset.pairs[i].b.attrs.clone()))
         .collect();
-    let dup = pairs[3].clone();
-    pairs.push(dup);
-    pairs.push(pairs[0].clone());
+    let taped: Vec<(usize, f32)> = order.iter().map(|&i| reference[i]).collect();
 
     for batch_size in [1usize, 7, 32] {
-        let taped = model.predict_pairs(&pairs, &encoder, batch_size);
         let tape_free = infer.predict_pairs(&pairs, &encoder, batch_size);
         assert_eq!(taped, tape_free, "batch_size {batch_size}");
     }
@@ -147,7 +156,9 @@ fn evaluation_f1_parity_over_all_13_datasets() {
         let infer = InferenceModel::from_model(&model);
         for id in DatasetId::all() {
             let dataset = id.generate_scaled(3, 40);
-            let taped = model.evaluate(&dataset, &encoder, 16);
+            let preds: Vec<usize> =
+                taped_scores(&model, &dataset, &encoder).into_iter().map(|(p, _)| p).collect();
+            let taped = Metrics::from_predictions(&preds, &dataset.labels());
             let tape_free = infer.evaluate(&dataset, &encoder, 16);
             assert_eq!(
                 (taped.tp, taped.fp, taped.fn_, taped.tn),

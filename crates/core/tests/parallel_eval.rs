@@ -1,13 +1,15 @@
-//! Data-parallel inference determinism: a full `evaluate` pass over a
+//! Data-parallel inference determinism: a full
+//! [`InferenceModel::evaluate`] pass over a
 //! synthetic dataset must return identical [`Metrics`] regardless of the
 //! engine pool size. The thread count here is pinned programmatically via
 //! `pool::set_threads`, which takes the same path as the `DADER_THREADS`
 //! environment override — one test process can't re-read the environment,
 //! so the override is the testable proxy for `DADER_THREADS=1` vs `=4`.
 
-use dader_core::eval::{evaluate, Metrics};
+use dader_core::eval::Metrics;
 use dader_core::extractor::{FeatureExtractor, LmExtractor};
 use dader_core::matcher::Matcher;
+use dader_core::InferenceModel;
 use dader_datagen::{DatasetId, ErDataset};
 use dader_nn::TransformerConfig;
 use dader_tensor::pool;
@@ -15,7 +17,7 @@ use dader_text::{PairEncoder, Vocab};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn setup() -> (ErDataset, PairEncoder, LmExtractor, Matcher) {
+fn setup() -> (ErDataset, PairEncoder, InferenceModel) {
     let dataset = DatasetId::FZ.generate_scaled(7, 120);
     let vocab = Vocab::build(
         dader_text::tokenize(&dataset.all_text())
@@ -41,17 +43,17 @@ fn setup() -> (ErDataset, PairEncoder, LmExtractor, Matcher) {
     // one-class predictor can't detect prediction/label misalignment
     // (Metrics is order-invariant within each class). Scan seeds for an
     // init whose decision boundary actually splits this dataset.
-    let matcher = (0..64)
+    let model = (0..64)
         .map(|seed| {
             let mut mrng = StdRng::seed_from_u64(seed);
-            Matcher::new(extractor.feat_dim(), &mut mrng)
+            InferenceModel::from_parts(&extractor, &Matcher::new(extractor.feat_dim(), &mut mrng))
         })
         .find(|m| {
-            let metrics = evaluate(&extractor, m, &dataset, &encoder, 16);
+            let metrics = m.evaluate(&dataset, &encoder, 16);
             metrics.tp + metrics.fp > 0 && metrics.fn_ + metrics.tn > 0
         })
         .expect("no matcher init produced mixed predictions");
-    (dataset, encoder, extractor, matcher)
+    (dataset, encoder, model)
 }
 
 fn assert_metrics_identical(a: Metrics, b: Metrics, what: &str) {
@@ -63,14 +65,14 @@ fn assert_metrics_identical(a: Metrics, b: Metrics, what: &str) {
 
 #[test]
 fn evaluate_is_identical_at_one_and_four_threads() {
-    let (dataset, encoder, extractor, matcher) = setup();
+    let (dataset, encoder, model) = setup();
 
     // Batch size 16 over 120 pairs: 8 batches, enough to shard unevenly
     // across 4 workers.
     let prev = pool::set_threads(Some(1));
-    let serial = evaluate(&extractor, &matcher, &dataset, &encoder, 16);
+    let serial = model.evaluate(&dataset, &encoder, 16);
     pool::set_threads(Some(4));
-    let parallel = evaluate(&extractor, &matcher, &dataset, &encoder, 16);
+    let parallel = model.evaluate(&dataset, &encoder, 16);
     pool::set_threads(prev);
 
     // The prediction task must be non-trivial for the comparison to mean
@@ -85,15 +87,15 @@ fn evaluate_is_identical_at_one_and_four_threads() {
 
 #[test]
 fn evaluate_is_identical_across_batch_size_and_thread_grid() {
-    let (dataset, encoder, extractor, matcher) = setup();
+    let (dataset, encoder, model) = setup();
 
     let prev = pool::set_threads(Some(1));
     for batch_size in [7usize, 32, 256] {
         pool::set_threads(Some(1));
-        let serial = evaluate(&extractor, &matcher, &dataset, &encoder, batch_size);
+        let serial = model.evaluate(&dataset, &encoder, batch_size);
         for threads in [2usize, 4, 8] {
             pool::set_threads(Some(threads));
-            let parallel = evaluate(&extractor, &matcher, &dataset, &encoder, batch_size);
+            let parallel = model.evaluate(&dataset, &encoder, batch_size);
             assert_metrics_identical(
                 serial,
                 parallel,
