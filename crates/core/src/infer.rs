@@ -20,16 +20,17 @@ use dader_nn::infer::{
     InferAttention, InferBiGru, InferEncoderLayer, InferGruCell, InferLayerNorm, InferLinear,
     InferMatrix, InferTransformer,
 };
+use dader_nn::TransformerConfig;
 use dader_tensor::infer as kernel;
 use dader_tensor::infer::QuantizedMatrix;
-use dader_tensor::pool;
+use dader_tensor::{pool, Param};
 use dader_text::PairEncoder;
 
 use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::batch::{encode_all, EncodedBatch};
 use crate::eval::Metrics;
 use crate::extractor::{
-    overlap_features, segment_masks, ExtractorSpec, FeatureExtractor, OVERLAP_FEATURES,
+    overlap_features, segment_masks, ExtractorSpec, FeatureExtractor, LmExtractor, OVERLAP_FEATURES,
 };
 use crate::matcher::Matcher;
 use crate::model::{DaderModel, EntityPair};
@@ -44,6 +45,15 @@ struct Weights {
 }
 
 impl Weights {
+    /// A dense store of live parameters' current values.
+    fn snapshot(params: impl IntoIterator<Item = Param>) -> Weights {
+        let entries = params
+            .into_iter()
+            .map(|p| (p.name().to_string(), (p.shape().dims().to_vec(), p.snapshot())))
+            .collect();
+        Weights { entries, quantized: HashMap::new() }
+    }
+
     fn tensor(&mut self, name: &str, shape: &[usize]) -> Result<Vec<f32>, String> {
         let (s, data) = self
             .entries
@@ -92,9 +102,79 @@ impl Weights {
     }
 }
 
+/// The LM extractor beneath its head, tape-free: the encoder whose
+/// `[CLS]` state and token embeddings make the head's input rows.
+pub(crate) struct LmTrunk {
+    encoder: InferTransformer,
+}
+
+impl LmTrunk {
+    /// A snapshot of `lm`'s encoder weights — dense f32, exact kernels —
+    /// whose [`pre_head`](LmTrunk::pre_head) rows are bitwise
+    /// [`LmExtractor::pre_head`]'s.
+    pub(crate) fn from_lm(lm: &LmExtractor) -> LmTrunk {
+        let mut weights = Weights::snapshot(lm.encoder().params());
+        Self::build(&mut weights, lm.encoder().config(), false)
+            .unwrap_or_else(|e| panic!("LmTrunk::from_lm: {e}"))
+    }
+
+    fn build(
+        weights: &mut Weights,
+        cfg: &TransformerConfig,
+        quantized: bool,
+    ) -> Result<LmTrunk, String> {
+        let tok = weights.tensor("lm.tok.table", &[cfg.vocab, cfg.dim])?;
+        let pos = weights.tensor("lm.pos.pos", &[cfg.max_len, cfg.dim])?;
+        let mut layers = Vec::with_capacity(cfg.layers);
+        for i in 0..cfg.layers {
+            let p = format!("lm.layer{i}");
+            let attn = InferAttention::new(
+                weights.linear(&format!("{p}.attn.wq"), cfg.dim, cfg.dim)?,
+                weights.linear(&format!("{p}.attn.wk"), cfg.dim, cfg.dim)?,
+                weights.linear(&format!("{p}.attn.wv"), cfg.dim, cfg.dim)?,
+                weights.linear(&format!("{p}.attn.wo"), cfg.dim, cfg.dim)?,
+                cfg.heads,
+                cfg.dim,
+                quantized,
+            );
+            layers.push(InferEncoderLayer::new(
+                attn,
+                weights.norm(&format!("{p}.ln1"), cfg.dim)?,
+                weights.linear(&format!("{p}.ff1"), cfg.dim, cfg.ffn_dim)?,
+                weights.linear(&format!("{p}.ff2"), cfg.ffn_dim, cfg.dim)?,
+                weights.norm(&format!("{p}.ln2"), cfg.dim)?,
+                quantized,
+            ));
+        }
+        let encoder = InferTransformer::new(tok, pos, layers, cfg.vocab, cfg.dim, cfg.max_len);
+        Ok(LmTrunk { encoder })
+    }
+
+    /// The head's input rows `[cls; |m_a − m_b|; m_a ⊙ m_b; overlap]`:
+    /// flat `(B, 3·dim + OVERLAP_FEATURES)`, as [`LmExtractor::pre_head`]
+    /// computes them on the tape.
+    pub(crate) fn pre_head(&self, batch: &EncodedBatch) -> Vec<f32> {
+        let (b, s) = (batch.batch, batch.seq);
+        let dim = self.encoder.dim();
+        let cls = self.encoder.encode_cls(&batch.ids, b, s, &batch.mask);
+        let emb = self.encoder.token_embeddings(&batch.ids);
+        let (mask_a, mask_b) = segment_masks(batch);
+        let mut ma = kernel::mean_pool_seq(&emb, &mask_a, b, s, dim);
+        let mut mb = kernel::mean_pool_seq(&emb, &mask_b, b, s, dim);
+        kernel::l2_normalize_rows_inplace(&mut ma, b, dim, 1e-8);
+        kernel::l2_normalize_rows_inplace(&mut mb, b, dim, 1e-8);
+        let diff = kernel::abs_sub(&ma, &mb);
+        let prod = kernel::mul(&ma, &mb);
+        let overlap = overlap_features(batch).to_vec();
+        let cat = kernel::concat_cols(&cls, &diff, b, dim, dim);
+        let cat = kernel::concat_cols(&cat, &prod, b, 2 * dim, dim);
+        kernel::concat_cols(&cat, &overlap, b, 3 * dim, OVERLAP_FEATURES)
+    }
+}
+
 enum InferExtractor {
     Lm {
-        encoder: Box<InferTransformer>,
+        trunk: Box<LmTrunk>,
         head: InferLinear,
     },
     Rnn {
@@ -119,13 +199,7 @@ impl InferenceModel {
     /// current weights. The result is dense f32 with the exact two-pass
     /// softmax, and predicts **bitwise identically** to the taped forward.
     pub fn from_parts(extractor: &dyn FeatureExtractor, matcher: &Matcher) -> InferenceModel {
-        let entries = extractor
-            .params()
-            .into_iter()
-            .chain(matcher.params())
-            .map(|p| (p.name().to_string(), (p.shape().dims().to_vec(), p.snapshot())))
-            .collect();
-        let weights = Weights { entries, quantized: HashMap::new() };
+        let weights = Weights::snapshot(extractor.params().into_iter().chain(matcher.params()));
         Self::build(weights, extractor.spec(), extractor.feat_dim(), false)
             .unwrap_or_else(|e| panic!("InferenceModel::from_parts: {e}"))
     }
@@ -163,34 +237,10 @@ impl InferenceModel {
     ) -> Result<InferenceModel, String> {
         let extractor = match spec {
             ExtractorSpec::Lm(cfg) => {
-                let tok = weights.tensor("lm.tok.table", &[cfg.vocab, cfg.dim])?;
-                let pos = weights.tensor("lm.pos.pos", &[cfg.max_len, cfg.dim])?;
-                let mut layers = Vec::with_capacity(cfg.layers);
-                for i in 0..cfg.layers {
-                    let p = format!("lm.layer{i}");
-                    let attn = InferAttention::new(
-                        weights.linear(&format!("{p}.attn.wq"), cfg.dim, cfg.dim)?,
-                        weights.linear(&format!("{p}.attn.wk"), cfg.dim, cfg.dim)?,
-                        weights.linear(&format!("{p}.attn.wv"), cfg.dim, cfg.dim)?,
-                        weights.linear(&format!("{p}.attn.wo"), cfg.dim, cfg.dim)?,
-                        cfg.heads,
-                        cfg.dim,
-                        quantized,
-                    );
-                    layers.push(InferEncoderLayer::new(
-                        attn,
-                        weights.norm(&format!("{p}.ln1"), cfg.dim)?,
-                        weights.linear(&format!("{p}.ff1"), cfg.dim, cfg.ffn_dim)?,
-                        weights.linear(&format!("{p}.ff2"), cfg.ffn_dim, cfg.dim)?,
-                        weights.norm(&format!("{p}.ln2"), cfg.dim)?,
-                        quantized,
-                    ));
-                }
-                let encoder =
-                    InferTransformer::new(tok, pos, layers, cfg.vocab, cfg.dim, cfg.max_len);
+                let trunk = LmTrunk::build(&mut weights, &cfg, quantized)?;
                 let head =
                     weights.linear("lm.head", 3 * cfg.dim + OVERLAP_FEATURES, cfg.dim)?;
-                InferExtractor::Lm { encoder: Box::new(encoder), head }
+                InferExtractor::Lm { trunk: Box::new(trunk), head }
             }
             ExtractorSpec::Rnn { vocab, embed_dim, hidden, feat_dim } => {
                 let table = weights.tensor("rnn.embed.table", &[vocab, embed_dim])?;
@@ -221,26 +271,8 @@ impl InferenceModel {
     pub fn extract(&self, batch: &EncodedBatch) -> Vec<f32> {
         let _sp = dader_obs::span!("infer.extract");
         let (b, s) = (batch.batch, batch.seq);
-        match &self.extractor {
-            InferExtractor::Lm { encoder, head } => {
-                let dim = encoder.dim();
-                let cls = encoder.encode_cls(&batch.ids, b, s, &batch.mask);
-                let emb = encoder.token_embeddings(&batch.ids);
-                let (mask_a, mask_b) = segment_masks(batch);
-                let mut ma = kernel::mean_pool_seq(&emb, &mask_a, b, s, dim);
-                let mut mb = kernel::mean_pool_seq(&emb, &mask_b, b, s, dim);
-                kernel::l2_normalize_rows_inplace(&mut ma, b, dim, 1e-8);
-                kernel::l2_normalize_rows_inplace(&mut mb, b, dim, 1e-8);
-                let diff = kernel::abs_sub(&ma, &mb);
-                let prod = kernel::mul(&ma, &mb);
-                let overlap = overlap_features(batch).to_vec();
-                let cat = kernel::concat_cols(&cls, &diff, b, dim, dim);
-                let cat = kernel::concat_cols(&cat, &prod, b, 2 * dim, dim);
-                let cat = kernel::concat_cols(&cat, &overlap, b, 3 * dim, OVERLAP_FEATURES);
-                let mut out = head.forward(&cat, b);
-                kernel::tanh_inplace(&mut out);
-                out
-            }
+        let (pre, head) = match &self.extractor {
+            InferExtractor::Lm { trunk, head } => (trunk.pre_head(batch), head),
             InferExtractor::Rnn { table, embed_dim, gru, head } => {
                 let h2 = gru.out_dim();
                 let emb = kernel::gather_rows(table, *embed_dim, &batch.ids);
@@ -254,12 +286,12 @@ impl InferenceModel {
                 let diff = kernel::abs_sub(&ma, &mb);
                 let prod = kernel::mul(&ma, &mb);
                 let cat = kernel::concat_cols(&pooled, &diff, b, h2, h2);
-                let cat = kernel::concat_cols(&cat, &prod, b, 2 * h2, h2);
-                let mut out = head.forward(&cat, b);
-                kernel::tanh_inplace(&mut out);
-                out
+                (kernel::concat_cols(&cat, &prod, b, 2 * h2, h2), head)
             }
-        }
+        };
+        let mut out = head.forward(&pre, b);
+        kernel::tanh_inplace(&mut out);
+        out
     }
 
     /// Raw matcher logits for extracted features: flat `(rows, 2)`.

@@ -5,12 +5,14 @@
 //! ([`FeatureExtractor::frozen_trunk`]), each pair's
 //! [`LmExtractor::pre_head`] row is a fixed function of the encoded pair.
 //! [`PairFeatures`] then computes the rows of a dataset once, on its first
-//! use, and every training batch, precompute and evaluation of the
-//! transfer gathers rows from that table and runs only the head above
-//! them. A pair's row does not depend on the batch it is computed in, so
-//! the features — and every gradient, loss and snapshot after them — are
-//! bitwise those of the taped trunk. Any other extractor (the RNN, a
-//! trainable trunk) takes the taped path over encoded batches.
+//! use, through a tape-free snapshot of the trunk ([`LmTrunk`], taken once
+//! per transfer), and every training batch, precompute and evaluation of
+//! the transfer gathers rows from that table and runs only the head above
+//! them. A pair's row does not depend on the batch it is computed in, and
+//! the tape-free rows are bitwise the taped ones, so the features — and
+//! every gradient, loss and snapshot after them — are bitwise those of the
+//! taped trunk. Any other extractor (the RNN, a trainable trunk) takes the
+//! taped path over encoded batches.
 //!
 //! The tables are derived state: never persisted, rebuilt by a resumed
 //! run. `F' = F.clone_detached()` copies the frozen trunk bit for bit, so
@@ -27,6 +29,7 @@ use rand::rngs::StdRng;
 use crate::batch::{encode_all, Batcher, EncodedBatch};
 use crate::eval::Metrics;
 use crate::extractor::{FeatureExtractor, LmExtractor};
+use crate::infer::LmTrunk;
 use crate::matcher::Matcher;
 use crate::train::algorithm1::DaTask;
 
@@ -47,11 +50,14 @@ struct Table {
 }
 
 impl Table {
-    /// Run the frozen trunk over `dataset` once, in `chunk`-pair batches
-    /// across the engine pool.
-    fn build(lm: &LmExtractor, dataset: &ErDataset, encoder: &PairEncoder, chunk: usize) -> Table {
+    /// Run the frozen trunk over `dataset` once, tape-free, in
+    /// `chunk`-pair batches across the engine pool.
+    fn build(trunk: &LmTrunk, dataset: &ErDataset, encoder: &PairEncoder, chunk: usize) -> Table {
         let batches = encode_all(dataset, encoder, chunk);
-        let parts = par_map(&batches, current_threads(), |b| lm.pre_head(b).to_vec());
+        let parts = par_map(&batches, current_threads(), |b| {
+            let _sp = dader_obs::span!("extract.lm");
+            trunk.pre_head(b)
+        });
         let rows = parts.concat();
         let width = rows.len() / dataset.len().max(1);
         Table { rows, width }
@@ -91,13 +97,15 @@ impl Sample<'_> {
 
 /// Features of one transfer's datasets, through per-dataset pre-head
 /// tables when the extractor's trunk is frozen and through the taped
-/// extractor otherwise. The tables are built with the first frozen
+/// extractor otherwise. The trunk snapshot is taken from the first frozen
 /// extractor that asks, so one `PairFeatures` serves extractors that
 /// share one frozen trunk (`F` and its clone `F'`).
 pub(crate) struct PairFeatures<'a> {
     encoder: &'a PairEncoder,
     /// Pairs per batch of every whole-dataset pass (`cfg.eval_batch`).
     chunk: usize,
+    /// Tape-free snapshot of the frozen trunk, taken once per transfer.
+    trunk: OnceCell<LmTrunk>,
     tables: Vec<(&'a ErDataset, OnceCell<Table>)>,
 }
 
@@ -115,6 +123,7 @@ impl<'a> PairFeatures<'a> {
         PairFeatures {
             encoder: task.encoder,
             chunk,
+            trunk: OnceCell::new(),
             tables: datasets
                 .into_iter()
                 .flatten()
@@ -189,6 +198,54 @@ impl<'a> PairFeatures<'a> {
             .iter()
             .find(|(d, _)| std::ptr::eq(*d, dataset))
             .expect("dataset is not part of this transfer");
-        cell.get_or_init(|| Table::build(lm, dataset, self.encoder, self.chunk))
+        cell.get_or_init(|| {
+            let trunk = self.trunk.get_or_init(|| LmTrunk::from_lm(lm));
+            Table::build(trunk, dataset, self.encoder, self.chunk)
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dader_datagen::DatasetId;
+    use dader_nn::TransformerConfig;
+    use dader_text::Vocab;
+    use rand::SeedableRng;
+
+    #[test]
+    fn table_rows_are_the_taped_pre_head_bits() {
+        let d = DatasetId::FZ.generate_scaled(3, 45);
+        let vocab = Vocab::build(
+            dader_text::tokenize(&d.all_text())
+                .iter()
+                .map(|s| s.as_str()),
+            1,
+            2000,
+        );
+        let encoder = PairEncoder::new(vocab, 24);
+        for layers in [1, 2] {
+            let cfg = TransformerConfig {
+                vocab: encoder.vocab().len(),
+                dim: 16,
+                layers,
+                heads: 2,
+                ffn_dim: 32,
+                max_len: 24,
+            };
+            let lm = LmExtractor::new(cfg, &mut StdRng::seed_from_u64(5)).freeze_trunk();
+            let taped: Vec<u32> = encode_all(&d, &encoder, 16)
+                .iter()
+                .flat_map(|b| lm.pre_head(b).to_vec())
+                .map(f32::to_bits)
+                .collect();
+            let trunk = LmTrunk::from_lm(&lm);
+            for chunk in [1, 7, 64] {
+                let table = Table::build(&trunk, &d, &encoder, chunk);
+                assert_eq!(table.width, 3 * 16 + crate::extractor::OVERLAP_FEATURES);
+                let rows: Vec<u32> = table.rows.iter().map(|v| v.to_bits()).collect();
+                assert!(rows == taped, "{layers} layers, chunk {chunk}");
+            }
+        }
     }
 }

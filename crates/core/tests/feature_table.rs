@@ -74,11 +74,11 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn lm(vocab: usize) -> LmExtractor {
+fn lm(vocab: usize, layers: usize) -> LmExtractor {
     let cfg = TransformerConfig {
         vocab,
         dim: 16,
-        layers: 1,
+        layers,
         heads: 2,
         ffn_dim: 32,
         max_len: 20,
@@ -182,21 +182,31 @@ fn assert_same_run(kind: AlignerKind, got: &TrainOutcome, want: &TrainOutcome) {
     );
 }
 
+/// With one layer the table's trunk is only the `[CLS]`-only last layer;
+/// with two, a full-length layer runs beneath it.
 #[test]
 fn table_trains_bitwise_like_the_taped_trunk_for_every_aligner() {
     let vocab = fixture().encoder.vocab().len();
-    for kind in AlignerKind::all() {
-        let frozen = lm(vocab).freeze_trunk();
-        assert!(frozen.frozen_trunk().is_some());
-        let trunk_before = bits(&frozen.encoder().params());
+    for layers in [1, 2] {
+        for kind in AlignerKind::all() {
+            let frozen = lm(vocab, layers).freeze_trunk();
+            assert!(frozen.frozen_trunk().is_some());
+            let trunk_before = bits(&frozen.encoder().params());
 
-        let cached = train(kind, Box::new(frozen));
-        let taped = train(kind, Box::new(Taped(Box::new(lm(vocab).freeze_trunk()))));
-        assert_same_run(kind, &cached, &taped);
+            let cached = train(kind, Box::new(frozen));
+            let taped = train(
+                kind,
+                Box::new(Taped(Box::new(lm(vocab, layers).freeze_trunk()))),
+            );
+            assert_same_run(kind, &cached, &taped);
 
-        // The frozen trunk never moves; its weights come first in params().
-        let trunk_after = bits(&cached.model.params()[..trunk_before.len()]);
-        assert!(trunk_after == trunk_before, "{kind}: frozen trunk changed");
+            // The frozen trunk never moves; its weights come first in params().
+            let trunk_after = bits(&cached.model.params()[..trunk_before.len()]);
+            assert!(
+                trunk_after == trunk_before,
+                "{kind}, {layers} layers: frozen trunk changed"
+            );
+        }
     }
 }
 
@@ -204,7 +214,7 @@ fn table_trains_bitwise_like_the_taped_trunk_for_every_aligner() {
 fn trainable_trunk_takes_the_taped_path() {
     let vocab = fixture().encoder.vocab().len();
     let unfrozen = || {
-        let e = lm(vocab).freeze_trunk();
+        let e = lm(vocab, 1).freeze_trunk();
         e.unfreeze_trunk();
         e
     };

@@ -81,6 +81,12 @@ fn taped_scores(model: &DaderModel, dataset: &ErDataset, encoder: &PairEncoder) 
     out
 }
 
+/// The bit patterns of `v`: `assert_eq!` on these tells −0.0 from +0.0
+/// and passes equal NaNs, where comparing the floats would not.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Features, logits, predictions and probabilities must match the taped
 /// forward bit for bit, batch by batch.
 fn assert_batchwise_parity(model: &DaderModel, infer: &InferenceModel, encoder: &PairEncoder) {
@@ -90,18 +96,26 @@ fn assert_batchwise_parity(model: &DaderModel, infer: &InferenceModel, encoder: 
     for batch in &batches {
         let taped_feats = model.extractor.extract(batch);
         let infer_feats = infer.extract(batch);
-        assert_eq!(taped_feats.to_vec(), infer_feats, "features must be bitwise identical");
+        assert_eq!(
+            bits(&taped_feats.to_vec()),
+            bits(&infer_feats),
+            "features must be bitwise identical"
+        );
 
         let taped_logits = model.matcher.logits(&taped_feats).to_vec();
-        assert_eq!(taped_logits, infer.logits(&infer_feats), "logits must be bitwise identical");
+        assert_eq!(
+            bits(&taped_logits),
+            bits(&infer.logits(&infer_feats)),
+            "logits must be bitwise identical"
+        );
         assert_eq!(
             model.matcher.predict(&taped_feats),
             infer.predict(&infer_feats),
             "predictions must be identical"
         );
         assert_eq!(
-            model.matcher.match_probs(&taped_feats),
-            infer.match_probs(&infer_feats),
+            bits(&model.matcher.match_probs(&taped_feats)),
+            bits(&infer.match_probs(&infer_feats)),
             "probabilities must be bitwise identical"
         );
     }
@@ -143,7 +157,13 @@ fn predict_pairs_is_bitwise_identical_including_dedup() {
 
     for batch_size in [1usize, 7, 32] {
         let tape_free = infer.predict_pairs(&pairs, &encoder, batch_size);
-        assert_eq!(taped, tape_free, "batch_size {batch_size}");
+        let split = |v: &[(usize, f32)]| -> (Vec<usize>, Vec<u32>) {
+            (
+                v.iter().map(|p| p.0).collect(),
+                v.iter().map(|p| p.1.to_bits()).collect(),
+            )
+        };
+        assert_eq!(split(&taped), split(&tape_free), "batch_size {batch_size}");
     }
 }
 

@@ -133,52 +133,51 @@ impl InferAttention {
     /// Expand a padding mask `(B*S)` into the per-score attend mask
     /// `(B, H, S, S)` consumed by the softmax kernels. The result depends
     /// only on the mask, so callers with several layers build it once.
-    pub fn build_attend(pad_mask: &[f32], b: usize, s: usize, heads: usize, causal: bool) -> Vec<f32> {
-        let mut attend = vec![1.0f32; b * heads * s * s];
-        for bi in 0..b {
-            for hi in 0..heads {
-                for si in 0..s {
-                    for sj in 0..s {
-                        let blocked = pad_mask[bi * s + sj] == 0.0 || (causal && sj > si);
-                        if blocked {
-                            attend[((bi * heads + hi) * s + si) * s + sj] = 0.0;
-                        }
-                    }
-                }
+    fn build_attend(pad_mask: &[f32], b: usize, s: usize, heads: usize) -> Vec<f32> {
+        let mut attend = Vec::with_capacity(b * heads * s * s);
+        for row in pad_mask.chunks(s.max(1)).take(b) {
+            let keys: Vec<f32> = row.iter().map(|&m| if m == 0.0 { 0.0 } else { 1.0 }).collect();
+            for _ in 0..heads * s {
+                attend.extend_from_slice(&keys);
             }
         }
         attend
     }
 
-    /// `x (B, S, D)` with padding mask `(B*S)`; returns `(B, S, D)`.
-    pub fn forward(&self, x: &[f32], b: usize, s: usize, pad_mask: &[f32], causal: bool) -> Vec<f32> {
-        let attend = Self::build_attend(pad_mask, b, s, self.heads, causal);
-        self.forward_with_attend(x, b, s, &attend)
-    }
-
-    /// [`Self::forward`] with a prebuilt attend mask from
-    /// [`Self::build_attend`].
-    pub fn forward_with_attend(&self, x: &[f32], b: usize, s: usize, attend: &[f32]) -> Vec<f32> {
+    /// Self-attention over `x (B, S, D)` for the first `sq` query
+    /// positions of each sequence, `xq (B, sq, D)`: keys and values span
+    /// all `S` positions, and `attend (B, H, sq, S)` masks the scores.
+    /// Returns `(B, sq, D)`. Every kernel is row-independent, so a query
+    /// row's output does not depend on `sq`.
+    fn forward_queries(
+        &self,
+        xq: &[f32],
+        x: &[f32],
+        b: usize,
+        sq: usize,
+        s: usize,
+        attend: &[f32],
+    ) -> Vec<f32> {
         let d = self.dim;
         let dh = d / self.heads;
-        let rows = b * s;
-        let q = kernel::split_heads(&self.wq.forward(x, rows), b, s, d, self.heads);
-        let k = kernel::split_heads(&self.wk.forward(x, rows), b, s, d, self.heads);
-        let v = kernel::split_heads(&self.wv.forward(x, rows), b, s, d, self.heads);
+        let bh = b * self.heads;
+        let q = kernel::split_heads(&self.wq.forward(xq, b * sq), b, sq, d, self.heads);
+        let k = kernel::split_heads(&self.wk.forward(x, b * s), b, s, d, self.heads);
+        let v = kernel::split_heads(&self.wv.forward(x, b * s), b, s, d, self.heads);
 
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut scores = kernel::bmm_nt(&q, &k, b * self.heads, s, dh, s);
+        let mut scores = kernel::bmm_nt(&q, &k, bh, sq, dh, s);
         kernel::scale_inplace(&mut scores, scale);
 
         if self.fused {
-            kernel::fused_masked_softmax_rows_fast(&mut scores, attend, -1e9, b * self.heads * s, s);
+            kernel::fused_masked_softmax_rows_fast(&mut scores, attend, -1e9, bh * sq, s);
         } else {
-            kernel::masked_softmax_rows(&mut scores, attend, -1e9, b * self.heads * s, s);
+            kernel::masked_softmax_rows(&mut scores, attend, -1e9, bh * sq, s);
         }
 
-        let ctx = kernel::bmm(&scores, &v, b * self.heads, s, s, dh);
-        let merged = kernel::merge_heads(&ctx, b, s, dh, self.heads);
-        self.wo.forward(&merged, rows)
+        let ctx = kernel::bmm(&scores, &v, bh, sq, s, dh);
+        let merged = kernel::merge_heads(&ctx, b, sq, dh, self.heads);
+        self.wo.forward(&merged, b * sq)
     }
 }
 
@@ -207,18 +206,42 @@ impl InferEncoderLayer {
         InferEncoderLayer { attn, ln1, ff1, ff2, ln2, fast }
     }
 
-    /// `x (B, S, D) -> (B, S, D)`.
-    pub fn forward(&self, x: &[f32], b: usize, s: usize, mask: &[f32]) -> Vec<f32> {
-        let attend = InferAttention::build_attend(mask, b, s, self.attn.heads, false);
-        self.forward_with_attend(x, b, s, &attend)
+    /// `x (B, S, D) -> (B, S, D)` with a prebuilt attend mask from
+    /// [`InferAttention::build_attend`] (shared across the layers of a
+    /// stack, which all see the same padding mask).
+    fn forward_with_attend(&self, x: &[f32], b: usize, s: usize, attend: &[f32]) -> Vec<f32> {
+        self.forward_queries(x, x, b, s, s, attend)
     }
 
-    /// [`Self::forward`] with a prebuilt attend mask (shared across the
-    /// layers of a stack, which all see the same padding mask).
-    pub fn forward_with_attend(&self, x: &[f32], b: usize, s: usize, attend: &[f32]) -> Vec<f32> {
-        let rows = b * s;
-        let a = self.attn.forward_with_attend(x, b, s, attend);
-        let x = self.ln1.forward(&kernel::add(x, &a), rows);
+    /// The layer's output at position 0 only: `x (B, S, D) -> (B, D)`,
+    /// bit for bit position 0 of [`Self::forward_with_attend`]. Keys and
+    /// values still read every position; the queries, scores, softmax
+    /// (the first attend row of each (batch, head)), context, `wo`, both
+    /// norms and the FFN run on one row per sequence.
+    fn forward_cls(&self, x: &[f32], b: usize, s: usize, attend: &[f32]) -> Vec<f32> {
+        let x0 = kernel::select_seq_pos(x, b, s, self.attn.dim, 0);
+        let attend0: Vec<f32> = attend
+            .chunks(s * s)
+            .flat_map(|a| &a[..s])
+            .copied()
+            .collect();
+        self.forward_queries(&x0, x, b, 1, s, &attend0)
+    }
+
+    /// `xq (B, sq, D)`, the first `sq` positions of `x (B, S, D)`, through
+    /// the layer; `attend` is `(B, H, sq, S)`. Returns `(B, sq, D)`.
+    fn forward_queries(
+        &self,
+        xq: &[f32],
+        x: &[f32],
+        b: usize,
+        sq: usize,
+        s: usize,
+        attend: &[f32],
+    ) -> Vec<f32> {
+        let rows = b * sq;
+        let a = self.attn.forward_queries(xq, x, b, sq, s, attend);
+        let x = self.ln1.forward(&kernel::add(xq, &a), rows);
         let mut h = self.ff1.forward(&x, rows);
         if self.fast {
             kernel::gelu_fast_inplace(&mut h);
@@ -266,24 +289,27 @@ impl InferTransformer {
         self.vocab
     }
 
-    /// Full encoder stack: `(B*S) ids -> (B, S, D)` hidden states.
-    pub fn forward(&self, ids: &[usize], batch: usize, seq: usize, mask: &[f32]) -> Vec<f32> {
-        let _sp = dader_obs::span!("infer.transformer");
+    /// Token plus position embeddings: `(B*S) ids -> (B, S, D)`.
+    fn embed(&self, ids: &[usize], batch: usize, seq: usize, mask: &[f32]) -> Vec<f32> {
         assert_eq!(ids.len(), batch * seq, "InferTransformer: id count mismatch");
         assert_eq!(mask.len(), batch * seq, "InferTransformer: mask length mismatch");
         assert!(seq <= self.max_len, "InferTransformer: sequence length {seq} exceeds max {}", self.max_len);
         let mut h = kernel::gather_rows(&self.tok, self.dim, ids);
-        for bi in 0..batch {
-            for si in 0..seq {
-                let dst = &mut h[(bi * seq + si) * self.dim..(bi * seq + si + 1) * self.dim];
-                for (x, p) in dst.iter_mut().zip(&self.pos[si * self.dim..(si + 1) * self.dim]) {
-                    *x += p;
-                }
+        for row in h.chunks_mut((seq * self.dim).max(1)) {
+            for (x, p) in row.iter_mut().zip(&self.pos) {
+                *x += p;
             }
         }
+        h
+    }
+
+    /// Full encoder stack: `(B*S) ids -> (B, S, D)` hidden states — the
+    /// reference [`Self::encode_cls`] is held to.
+    #[cfg(test)]
+    fn forward(&self, ids: &[usize], batch: usize, seq: usize, mask: &[f32]) -> Vec<f32> {
+        let mut h = self.embed(ids, batch, seq, mask);
         if let Some(first) = self.layers.first() {
-            let attend =
-                InferAttention::build_attend(mask, batch, seq, first.attn.heads, false);
+            let attend = InferAttention::build_attend(mask, batch, seq, first.attn.heads);
             for layer in &self.layers {
                 h = layer.forward_with_attend(&h, batch, seq, &attend);
             }
@@ -291,10 +317,21 @@ impl InferTransformer {
         h
     }
 
-    /// Hidden state at the `[CLS]` position: `(B, D)`.
+    /// Hidden state at the `[CLS]` position: `(B, D)`. Every layer but
+    /// the last runs all positions; the last computes position 0 only
+    /// ([`InferEncoderLayer::forward_cls`]), bit for bit the full stack's
+    /// position 0.
     pub fn encode_cls(&self, ids: &[usize], batch: usize, seq: usize, mask: &[f32]) -> Vec<f32> {
-        let h = self.forward(ids, batch, seq, mask);
-        kernel::select_seq_pos(&h, batch, seq, self.dim, 0)
+        let _sp = dader_obs::span!("infer.transformer");
+        let h = self.embed(ids, batch, seq, mask);
+        let Some((last, rest)) = self.layers.split_last() else {
+            return kernel::select_seq_pos(&h, batch, seq, self.dim, 0);
+        };
+        let attend = InferAttention::build_attend(mask, batch, seq, last.attn.heads);
+        let h = rest
+            .iter()
+            .fold(h, |h, layer| layer.forward_with_attend(&h, batch, seq, &attend));
+        last.forward_cls(&h, batch, seq, &attend)
     }
 
     /// Raw token embeddings without position information: `(B*S, D)` flat.
@@ -427,6 +464,87 @@ mod tests {
         let y = ln.forward(&[1.0, 2.0, 3.0, 4.0], 1);
         let mean: f32 = y.iter().sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-5);
+    }
+
+    /// A random `layers`-deep encoder (vocab 50, dim 16, 4 heads, FFN 32,
+    /// 12 positions); `int8` quantizes every projection and selects the
+    /// fused softmax and fast GELU, as a quantized artifact does.
+    fn random_transformer(layers: usize, int8: bool, seed: u64) -> InferTransformer {
+        use rand::{RngExt, SeedableRng};
+        let (vocab, dim, heads, ffn, max_len) = (50, 16, 4, 32, 12);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut vals = |n: usize, c: f32, r: f32| -> Vec<f32> {
+            (0..n).map(|_| c + r * (rng.random::<f32>() - 0.5)).collect()
+        };
+        let mut linear = |i: usize, o: usize| {
+            let w = vals(i * o, 0.0, 1.0);
+            let w = if int8 {
+                InferMatrix::Int8(kernel::quantize_rows(&w, i, o).unwrap())
+            } else {
+                InferMatrix::F32(w)
+            };
+            InferLinear::new(w, vals(o, 0.0, 0.2), i, o)
+        };
+        let mut stack = Vec::new();
+        for _ in 0..layers {
+            let attn = InferAttention::new(
+                linear(dim, dim),
+                linear(dim, dim),
+                linear(dim, dim),
+                linear(dim, dim),
+                heads,
+                dim,
+                int8,
+            );
+            let (ff1, ff2) = (linear(dim, ffn), linear(ffn, dim));
+            stack.push((attn, ff1, ff2));
+        }
+        let mut norm = || InferLayerNorm::new(vals(dim, 1.0, 0.4), vals(dim, 0.0, 0.2));
+        let layers = stack
+            .into_iter()
+            .map(|(attn, ff1, ff2)| InferEncoderLayer::new(attn, norm(), ff1, ff2, norm(), int8))
+            .collect();
+        InferTransformer::new(
+            vals(vocab * dim, 0.0, 1.0),
+            vals(max_len * dim, 0.0, 0.5),
+            layers,
+            vocab,
+            dim,
+            max_len,
+        )
+    }
+
+    #[test]
+    fn encode_cls_is_bitwise_position_zero_of_the_full_stack() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for int8 in [false, true] {
+            for layers in 1..=3 {
+                let enc = random_transformer(layers, int8, 7 + layers as u64);
+                for batch in [1, 5, 32] {
+                    for seq in [9, 12] {
+                        // Row r holds (r * 5) % (seq + 1) real tokens: full
+                        // rows, padded tails, and (at r = 0) a fully
+                        // masked row.
+                        let mut ids = Vec::with_capacity(batch * seq);
+                        let mut mask = Vec::with_capacity(batch * seq);
+                        for r in 0..batch {
+                            let real = if batch == 1 { seq - 2 } else { (r * 5) % (seq + 1) };
+                            for si in 0..seq {
+                                ids.push((r * 7 + si * 3) % 50);
+                                mask.push(if si < real { 1.0 } else { 0.0 });
+                            }
+                        }
+                        let full = enc.forward(&ids, batch, seq, &mask);
+                        let want = kernel::select_seq_pos(&full, batch, seq, enc.dim(), 0);
+                        let got = enc.encode_cls(&ids, batch, seq, &mask);
+                        assert!(
+                            bits(&got) == bits(&want),
+                            "int8 {int8}, {layers} layers, batch {batch}, seq {seq}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
